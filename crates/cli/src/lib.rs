@@ -1492,8 +1492,13 @@ mod tests {
     ";
 
     fn with_file<F: FnOnce(&str) -> R, R>(f: F) -> R {
+        // One file per call: the tests run in parallel threads of one
+        // process, and a shared path let one test delete or rewrite the
+        // file another was reading.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut path = std::env::temp_dir();
-        path.push(format!("protoquot-cli-test-{}.pq", std::process::id()));
+        path.push(format!("protoquot-cli-test-{}-{k}.pq", std::process::id()));
         let mut file = std::fs::File::create(&path).unwrap();
         file.write_all(SOURCE.as_bytes()).unwrap();
         let r = f(path.to_str().unwrap());

@@ -33,12 +33,14 @@
 //! strings are a `u32` length plus UTF-8 bytes.
 //!
 //! The artifact carries *both* the source specs and the determinized
-//! guard tables. The specs are load-bearing: registry admission re-runs
-//! [`protoquot_spec::verify_system`] on them before a version may go
-//! live, and [`CompiledArtifact::instantiate`] rebuilds the guard from
-//! them and refuses the artifact unless the rebuilt tables are
-//! byte-identical to the stored ones — a tampered or bit-rotted table
-//! can never reach a session even if its content hash was re-stamped.
+//! guard tables. The specs are load-bearing:
+//! [`CompiledArtifact::instantiate`] rebuilds the guard from them, and
+//! registry admission re-runs the satisfaction check
+//! ([`protoquot_spec::verify_compiled`]) on that guard's composite
+//! before a version may go live. `instantiate` refuses the artifact
+//! unless the rebuilt tables are byte-identical to the stored ones — a
+//! tampered or bit-rotted table can never reach a session even if its
+//! content hash was re-stamped.
 
 use crate::codec::table_hash;
 use crate::guard::{Conviction, GuardProgram};
@@ -130,7 +132,7 @@ pub struct ArtifactDfa {
 /// One decoded compiled artifact: integrity-checked bytes parsed into
 /// specs plus guard tables, not yet trusted to serve traffic — that
 /// takes [`CompiledArtifact::instantiate`] (table agreement) and, for
-/// the registry, a `verify_system` run.
+/// the registry, a satisfaction check of the rebuilt guard's composite.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompiledArtifact {
     /// FNV-1a-64 of the payload — the artifact's identity in the
@@ -382,7 +384,7 @@ impl CompiledArtifact {
     /// A decoded artifact is *parsed*, not *trusted*:
     /// [`CompiledArtifact::instantiate`] rebuilds the guard from the
     /// embedded specs and compares tables, and registry admission runs
-    /// `verify_system` on top.
+    /// the satisfaction check on top.
     pub fn decode(bytes: &[u8]) -> Result<CompiledArtifact, ArtifactError> {
         if bytes.len() < 24 {
             return Err(ArtifactError::Malformed(format!(
@@ -511,8 +513,9 @@ impl CompiledArtifact {
     /// must match the stored ones exactly, else the artifact is
     /// refused with [`ArtifactError::Divergence`].
     ///
-    /// Returns `(parts, service, program)`; the specs feed registry
-    /// admission (`verify_system`), the program feeds the gateway.
+    /// Returns `(parts, service, program)`; registry admission checks
+    /// the service and re-verifies the composite the program runs on,
+    /// and the program feeds the gateway.
     pub fn instantiate(&self) -> Result<(Vec<Spec>, Spec, GuardProgram), ArtifactError> {
         let service = Spec::try_from(self.service.clone())?;
         let parts = self

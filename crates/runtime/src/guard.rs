@@ -38,8 +38,8 @@
 
 use crate::codec::RejectReason;
 use protoquot_spec::{
-    compile_composite, normalize, tau_star_rows, Alphabet, CompiledComposite, EventId, EventTable,
-    NormalSpec, Spec, SpecError,
+    compile_system, normalize, tau_star_rows, CompiledComposite, CompiledSystem, EventId,
+    EventTable, NormalSpec, Spec, SpecError,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -150,7 +150,7 @@ pub struct GuardDfaTables<'a> {
 /// Compiled guard shared by every session of one gateway.
 pub struct GuardProgram {
     table: Arc<EventTable>,
-    comp: CompiledComposite,
+    comp: Arc<CompiledComposite>,
     /// `τ*` bitset rows, `words` u64 words per composite state.
     tau: Vec<u64>,
     words: usize,
@@ -177,39 +177,60 @@ pub struct GuardProgram {
     build: GuardBuildStats,
 }
 
+/// The DFA states found so far by [`GuardProgram::determinize`]: state
+/// `id` is the τ-closed composite subset `members[off[id]..off[id + 1]]`
+/// with ψ-hub `hubs[id]`.
+struct DfaStates {
+    /// Each state keyed by its subset followed by its hub.
+    index: HashMap<Box<[u32]>, u32>,
+    members: Vec<u32>,
+    off: Vec<u32>,
+    hubs: Vec<u32>,
+    /// Scratch for building a lookup key.
+    key: Vec<u32>,
+    /// States interned but not yet expanded (LIFO).
+    work: Vec<u32>,
+}
+
+impl DfaStates {
+    fn len(&self) -> usize {
+        self.hubs.len()
+    }
+
+    /// The id of `(subset, hub)`, interning it and queueing it for
+    /// expansion if it is new.
+    fn intern(&mut self, subset: &[u32], hub: u32) -> u32 {
+        self.key.clear();
+        self.key.extend_from_slice(subset);
+        self.key.push(hub);
+        if let Some(&id) = self.index.get(&self.key[..]) {
+            return id;
+        }
+        let id = self.hubs.len() as u32;
+        self.index.insert(self.key[..].into(), id);
+        self.members.extend_from_slice(subset);
+        self.off.push(self.members.len() as u32);
+        self.hubs.push(hub);
+        self.work.push(id);
+        id
+    }
+
+    fn subset(&self, id: u32) -> &[u32] {
+        &self.members[self.off[id as usize] as usize..self.off[id as usize + 1] as usize]
+    }
+}
+
 impl GuardProgram {
     /// Compiles `parts` (components plus converter) against `service`
     /// and subset-constructs the per-frame check into a DFA.
     ///
-    /// Mirrors the validation of [`protoquot_spec::verify_system`]: the
-    /// solo (externally visible) alphabet of the composition must equal
-    /// the service alphabet, and no event may be shared by more than
-    /// two components.
+    /// Validation and compile are [`protoquot_spec::compile_system`]'s,
+    /// the same ones [`protoquot_spec::verify_system`] runs: the solo
+    /// (externally visible) alphabet of the composition must equal the
+    /// service alphabet, and no event may be shared by more than two
+    /// components.
     pub fn new(parts: &[&Spec], service: &Spec) -> Result<GuardProgram, SpecError> {
-        assert!(
-            !parts.is_empty(),
-            "GuardProgram needs at least one component"
-        );
-        let mut counts: HashMap<EventId, usize> = HashMap::new();
-        for p in parts {
-            for e in p.alphabet().iter() {
-                *counts.entry(e).or_insert(0) += 1;
-            }
-        }
-        let mut iface = Alphabet::new();
-        for (&e, &c) in &counts {
-            if c == 1 {
-                iface.insert(e);
-            }
-        }
-        if &iface != service.alphabet() {
-            return Err(SpecError::InterfaceMismatch {
-                left: format!("{iface}"),
-                right: format!("{}", service.alphabet()),
-            });
-        }
-        let table = EventTable::new(service.alphabet());
-        let comp = compile_composite(parts, &table)?;
+        let CompiledSystem { table, comp } = compile_system(parts, service)?;
         let words = table.words();
         let tau = tau_star_rows(&comp, words);
         let norm = normalize(service);
@@ -223,7 +244,7 @@ impl GuardProgram {
             .collect();
         let mut prog = GuardProgram {
             table: Arc::new(table),
-            comp,
+            comp: Arc::new(comp),
             tau,
             words,
             norm,
@@ -248,10 +269,10 @@ impl GuardProgram {
     fn determinize(&mut self) {
         let t0 = Instant::now();
         let nsym = self.table.len();
-        let n = self.comp.n;
+        let comp = &*self.comp;
 
         // Scratch for τ-closures and per-event ext steps.
-        let mut seen = vec![false; n];
+        let mut seen = vec![false; comp.n];
         let tau_close = |set: &mut Vec<u32>, seen: &mut [bool]| {
             for &s in set.iter() {
                 seen[s as usize] = true;
@@ -259,8 +280,7 @@ impl GuardProgram {
             let mut i = 0;
             while i < set.len() {
                 let s = set[i] as usize;
-                for k in self.comp.int_off[s] as usize..self.comp.int_off[s + 1] as usize {
-                    let t = self.comp.int_tgt[k];
+                for &t in &comp.int_tgt[comp.int_off[s] as usize..comp.int_off[s + 1] as usize] {
                     if !seen[t as usize] {
                         seen[t as usize] = true;
                         set.push(t);
@@ -274,85 +294,84 @@ impl GuardProgram {
             }
         };
 
-        let mut initial = vec![self.comp.initial];
+        let mut dfa = DfaStates {
+            index: HashMap::new(),
+            members: Vec::new(),
+            off: vec![0],
+            hubs: Vec::new(),
+            key: Vec::new(),
+            work: Vec::new(),
+        };
+        let mut initial = vec![comp.initial];
         tau_close(&mut initial, &mut seen);
+        let initial_hub = self.norm.initial_hub() as u32;
+        let dfa_initial = dfa.intern(&initial, initial_hub);
+        // The initial configuration may already fail containment for
+        // every reachable state — sessions then start convicted, exactly
+        // as the reference guard does.
+        let initial_verdict = self
+            .all_fail(&initial, initial_hub as usize)
+            .then_some(Conviction::Stalled);
 
-        let mut index: HashMap<(Box<[u32]>, u32), u32> = HashMap::new();
-        let mut subsets: Vec<(Box<[u32]>, u32)> = Vec::new();
         let mut trans: Vec<u32> = Vec::new();
         let mut any_fail: Vec<bool> = Vec::new();
         let mut subset_size: Vec<u32> = Vec::new();
         let mut max_subset = 0usize;
-
-        let initial_hub = self.norm.initial_hub() as u32;
-        let push_state = |subset: Box<[u32]>,
-                          hub: u32,
-                          index: &mut HashMap<(Box<[u32]>, u32), u32>,
-                          subsets: &mut Vec<(Box<[u32]>, u32)>,
-                          work: &mut Vec<u32>|
-         -> u32 {
-            let key = (subset, hub);
-            if let Some(&id) = index.get(&key) {
-                return id;
-            }
-            let id = subsets.len() as u32;
-            index.insert(key.clone(), id);
-            subsets.push(key);
-            work.push(id);
-            id
-        };
-
-        let mut work: Vec<u32> = Vec::new();
-        self.dfa_initial = push_state(
-            initial.clone().into_boxed_slice(),
-            initial_hub,
-            &mut index,
-            &mut subsets,
-            &mut work,
-        );
-        if self.all_fail(&initial, initial_hub as usize) {
-            // The initial configuration already fails containment for
-            // every reachable state — sessions start convicted, exactly
-            // as the reference guard does.
-            self.initial_verdict = Some(Conviction::Stalled);
-        }
-
+        let mut subset: Vec<u32> = Vec::new();
         let mut next: Vec<u32> = Vec::new();
-        while let Some(id) = work.pop() {
-            let (subset, hub) = subsets[id as usize].clone();
+        // The subset's ext targets bucketed by event: those under event
+        // `ev` are `bucket[start[ev]..start[ev + 1]]`.
+        let mut start: Vec<u32> = vec![0; nsym + 1];
+        let mut fill: Vec<u32> = vec![0; nsym];
+        let mut bucket: Vec<u32> = Vec::new();
+        while let Some(id) = dfa.work.pop() {
+            subset.clear();
+            subset.extend_from_slice(dfa.subset(id));
+            let hub = dfa.hubs[id as usize];
             max_subset = max_subset.max(subset.len());
-            let row = id as usize * nsym;
-            if trans.len() < row + nsym {
-                trans.resize(subsets.len() * nsym, T_NOT_A_TRACE);
-            }
-            while any_fail.len() < subsets.len() {
-                any_fail.push(false);
-                subset_size.push(0);
-            }
+            trans.resize(dfa.len() * nsym, T_NOT_A_TRACE);
+            any_fail.resize(dfa.len(), false);
+            subset_size.resize(dfa.len(), 0);
             any_fail[id as usize] = subset.iter().any(|&s| !self.progress_ok(s, hub as usize));
             subset_size[id as usize] = subset.len() as u32;
 
-            for ev in 0..nsym as u32 {
+            start.fill(0);
+            for &s in &subset {
+                let s = s as usize;
+                for &ev in &comp.ext_ev[comp.ext_off[s] as usize..comp.ext_off[s + 1] as usize] {
+                    start[ev as usize + 1] += 1;
+                }
+            }
+            for ev in 0..nsym {
+                start[ev + 1] += start[ev];
+            }
+            fill.copy_from_slice(&start[..nsym]);
+            bucket.resize(start[nsym] as usize, 0);
+            for &s in &subset {
+                let s = s as usize;
+                for k in comp.ext_off[s] as usize..comp.ext_off[s + 1] as usize {
+                    let ev = comp.ext_ev[k] as usize;
+                    bucket[fill[ev] as usize] = comp.ext_tgt[k];
+                    fill[ev] += 1;
+                }
+            }
+
+            let row = id as usize * nsym;
+            for ev in 0..nsym {
                 next.clear();
-                for &s in subset.iter() {
-                    let s = s as usize;
-                    for k in self.comp.ext_off[s] as usize..self.comp.ext_off[s + 1] as usize {
-                        if self.comp.ext_ev[k] == ev {
-                            let t = self.comp.ext_tgt[k];
-                            if !seen[t as usize] {
-                                seen[t as usize] = true;
-                                next.push(t);
-                            }
-                        }
+                for &t in &bucket[start[ev] as usize..start[ev + 1] as usize] {
+                    if !seen[t as usize] {
+                        seen[t as usize] = true;
+                        next.push(t);
                     }
                 }
                 for &t in next.iter() {
                     seen[t as usize] = false;
                 }
-                let target = if next.is_empty() {
+                trans[row + ev] = if next.is_empty() {
                     T_NOT_A_TRACE
                 } else {
-                    let eid = self.table.event(ev).expect("event index within table");
+                    let eid = self.table.events[ev];
                     match self.norm.step(hub as usize, eid) {
                         None => T_SERVICE_VIOLATION,
                         Some(next_hub) => {
@@ -363,47 +382,33 @@ impl GuardProgram {
                                 // interned or explored.
                                 T_STALL
                             } else {
-                                push_state(
-                                    next.clone().into_boxed_slice(),
-                                    next_hub as u32,
-                                    &mut index,
-                                    &mut subsets,
-                                    &mut work,
-                                )
+                                dfa.intern(&next, next_hub as u32)
                             }
                         }
                     }
                 };
-                // `trans` may have grown rows for states interned after
-                // this one; the row base is stable because ids are dense.
-                if trans.len() < subsets.len() * nsym {
-                    trans.resize(subsets.len() * nsym, T_NOT_A_TRACE);
-                }
-                trans[row + ev as usize] = target;
             }
         }
-        // States interned last may not have had rows/flags materialized.
-        trans.resize(subsets.len() * nsym, T_NOT_A_TRACE);
-        while any_fail.len() < subsets.len() {
-            any_fail.push(false);
-            subset_size.push(0);
-        }
-
+        // Every interned state was expanded, so every row is filled.
+        debug_assert_eq!(trans.len(), dfa.len() * nsym);
         debug_assert!(
-            subsets.len() < T_SENTINEL_BASE as usize,
+            dfa.len() < T_SENTINEL_BASE as usize,
             "guard DFA state space collides with verdict sentinels"
         );
-        self.nsym = nsym;
-        self.trans = trans;
-        self.any_fail = any_fail;
-        self.subset_size = subset_size;
-        self.build = GuardBuildStats {
-            dfa_states: subsets.len(),
+        let build = GuardBuildStats {
+            dfa_states: dfa.len(),
             dfa_events: nsym,
-            table_bytes: self.trans.len() * 4 + self.any_fail.len() + self.subset_size.len() * 4,
+            table_bytes: trans.len() * 4 + any_fail.len() + subset_size.len() * 4,
             max_subset,
             build_ms: t0.elapsed().as_secs_f64() * 1e3,
         };
+        self.nsym = nsym;
+        self.dfa_initial = dfa_initial;
+        self.initial_verdict = initial_verdict;
+        self.trans = trans;
+        self.any_fail = any_fail;
+        self.subset_size = subset_size;
+        self.build = build;
     }
 
     /// The shared event table (index ↔ event mapping on the wire).
@@ -414,6 +419,13 @@ impl GuardProgram {
     /// Composite states of the compiled `B ‖ C`.
     pub fn num_states(&self) -> usize {
         self.comp.n
+    }
+
+    /// The compiled `B ‖ C` the guard runs on, over [`Self::table`]:
+    /// registry admission proves satisfaction on exactly this composite
+    /// ([`protoquot_spec::verify_compiled`]).
+    pub(crate) fn composite(&self) -> &Arc<CompiledComposite> {
+        &self.comp
     }
 
     /// ψ-hubs of the normalized service.

@@ -12,13 +12,17 @@
 //!    guard rebuilt from the embedded specs must be byte-identical to
 //!    the stored tables, and carry the stored event-table hash.
 //! 3. **Contract** — the embedded service spec must equal the
-//!    registry's, and [`protoquot_spec::verify_system`] must re-prove
-//!    that the parts satisfy it. A converter that would convict honest
-//!    traffic can never go live, no matter what its artifact claims.
+//!    registry's, and [`protoquot_spec::verify_compiled`] must re-prove
+//!    that the system satisfies it, on the composite the rebuilt guard
+//!    itself runs on (compiled once, by
+//!    [`protoquot_spec::compile_system`]). A converter that would
+//!    convict honest traffic can never go live, no matter what its
+//!    artifact claims.
 //!
 //! Only then is the artifact persisted (content-addressed as
-//! `<content-hash>.pqca` under the registry directory) and assigned
-//! the next version number. The returned [`AdmittedVersion`] carries
+//! `<content-hash>.pqca` under the registry directory, written through
+//! a synced temporary file and a rename) and assigned the next version
+//! number. The returned [`AdmittedVersion`] carries
 //! the compiled [`GuardProgram`] ready for [`Gateway::swap`]; the
 //! gateway — not the registry — owns the active/draining version
 //! slots and the per-version session accounting.
@@ -27,10 +31,10 @@
 
 use crate::artifact::{ArtifactError, CompiledArtifact};
 use crate::guard::GuardProgram;
-use protoquot_spec::{verify_system, Spec, SpecError};
+use protoquot_spec::{verify_compiled, Spec, SpecError};
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -50,8 +54,8 @@ pub enum RegistryError {
         /// Name of the service embedded in the artifact.
         got: String,
     },
-    /// `verify_system` refused the rebuilt system: either it failed to
-    /// compose/validate, or it does not satisfy the service.
+    /// The product check refused the rebuilt system: either it failed
+    /// to compose/validate, or it does not satisfy the service.
     Refused(String),
 }
 
@@ -103,6 +107,21 @@ pub struct AdmittedVersion {
     pub path: PathBuf,
 }
 
+/// Writes `bytes` to `path` in directory `dir` through a temporary file
+/// beside it, synced to disk before it is renamed over `path`: `path`
+/// holds either its old content or all of `bytes`, never part of them.
+/// `dir` is synced after the rename so the new entry survives a crash
+/// too.
+fn write_replacing(dir: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = path.with_extension("pqca.tmp");
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, path)?;
+    fs::File::open(dir)?.sync_all()
+}
+
 /// A directory of verified converter artifacts for one service
 /// contract, handing out monotonically numbered versions.
 pub struct ConverterRegistry {
@@ -132,7 +151,7 @@ impl ConverterRegistry {
         })
     }
 
-    /// Worker threads for the admission `verify_system` run.
+    /// Worker threads for the admission product check.
     pub fn with_verify_threads(mut self, threads: usize) -> ConverterRegistry {
         self.threads = threads.max(1);
         self
@@ -175,18 +194,17 @@ impl ConverterRegistry {
     /// `AdmittedVersion::program` to `Gateway::swap` to take it live.
     pub fn admit(&mut self, bytes: &[u8]) -> Result<AdmittedVersion, RegistryError> {
         let artifact = CompiledArtifact::decode(bytes)?;
-        let (parts, service, prog) = artifact.instantiate()?;
+        let (_, service, prog) = artifact.instantiate()?;
         if service != self.service {
             return Err(RegistryError::ServiceMismatch {
                 expected: self.service.name().to_string(),
                 got: service.name().to_string(),
             });
         }
-        // The refinement re-check: the embedded system must still
-        // satisfy the unchanged contract, proven by the same engine
-        // that admitted the original derivation.
-        let refs: Vec<&Spec> = parts.iter().collect();
-        let verdict = verify_system(&refs, &self.service, self.threads)?;
+        // The refinement re-check: the system must still satisfy the
+        // unchanged contract, proven by the same engine that admitted
+        // the original derivation, on the very composite the guard runs.
+        let verdict = verify_compiled(prog.composite(), prog.table(), &self.service, self.threads)?;
         if let Err(violation) = &verdict.verdict {
             return Err(RegistryError::Refused(format!(
                 "system does not satisfy `{}`: {violation}",
@@ -196,9 +214,11 @@ impl ConverterRegistry {
         let path = self
             .dir
             .join(format!("{:016x}.pqca", artifact.content_hash));
-        // Content-addressed: identical bytes are already in place.
-        if !path.exists() {
-            fs::write(&path, bytes)?;
+        // Content-addressed: a file already holding exactly these bytes
+        // stays; anything else under the name (a write torn by a crash)
+        // is replaced whole.
+        if fs::read(&path).ok().as_deref() != Some(bytes) {
+            write_replacing(&self.dir, &path, bytes)?;
         }
         let version = self.next_version;
         self.next_version += 1;
@@ -316,6 +336,26 @@ mod tests {
             reg.admit(&bytes),
             Err(RegistryError::ServiceMismatch { .. })
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A file torn by a crash mid-write sits under the artifact's
+    /// content-hash name; admitting the artifact replaces it whole.
+    #[test]
+    fn torn_store_file_is_replaced_on_admission() {
+        let (parts, service) = derived();
+        let refs: Vec<&Spec> = parts.iter().collect();
+        let bytes = encode(&refs, &service).unwrap();
+        let hash = CompiledArtifact::decode(&bytes).unwrap().content_hash;
+        let dir = tempdir("torn");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{hash:016x}.pqca"));
+        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let mut reg = ConverterRegistry::open(&dir, &service, 0).unwrap();
+        let v = reg.admit(&bytes).expect("verified artifact admits");
+        assert_eq!(v.path, path);
+        assert_eq!(fs::read(&path).unwrap(), bytes);
+        assert_eq!(reg.stored().unwrap(), vec![hash]);
         let _ = fs::remove_dir_all(&dir);
     }
 

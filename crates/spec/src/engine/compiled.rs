@@ -12,7 +12,9 @@
 
 use crate::event::{Alphabet, EventId};
 use crate::spec::{Spec, StateId};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// Interned table of an alphabet's events, sorted ascending by event
 /// *name* — the single event-id assignment point shared by the verify
@@ -132,9 +134,12 @@ pub struct CompiledComposite {
     pub dedup_hits: usize,
     /// Bytes held by the CSR arrays and interned tuple keys.
     pub arena_bytes: usize,
-    /// The state tuple behind each composite id (empty for the
-    /// single-component identity compile).
-    pub tuples: Vec<Box<[u32]>>,
+    /// Components per state tuple (0 for the single-component identity
+    /// compile, which keeps no tuples).
+    width: usize,
+    /// The state tuples, `width` words per composite id, in id order:
+    /// the interning arena of the n-way exploration.
+    tuples: Vec<u32>,
 }
 
 impl CompiledComposite {
@@ -143,9 +148,17 @@ impl CompiledComposite {
         self.ext_ev.len() + self.int_tgt.len()
     }
 
-    fn finish_arena(&mut self, key_bytes: usize) {
-        self.arena_bytes = key_bytes
-            + 4 * (self.ext_off.len()
+    /// The component states behind composite state `s`, one per
+    /// component (empty for the single-component identity compile).
+    pub fn tuple(&self, s: u32) -> &[u32] {
+        let at = s as usize * self.width;
+        &self.tuples[at..at + self.width]
+    }
+
+    fn finish_arena(&mut self) {
+        self.arena_bytes = 4
+            * (self.tuples.len()
+                + self.ext_off.len()
                 + self.ext_ev.len()
                 + self.ext_tgt.len()
                 + self.int_off.len()
@@ -186,9 +199,10 @@ pub(crate) fn build_single(b: &Spec, tbl: &EventTable) -> CompiledComposite {
         int_tgt,
         dedup_hits: 0,
         arena_bytes: 0,
+        width: 0,
         tuples: Vec::new(),
     };
-    c.finish_arena(0);
+    c.finish_arena();
     c
 }
 
@@ -264,51 +278,22 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
         })
         .collect();
 
-    let mut intern: HashMap<Box<[u32]>, u32> = HashMap::new();
-    let mut tuples: Vec<Box<[u32]>> = Vec::new();
-    let mut work: Vec<u32> = Vec::new();
+    let mut x = Explorer {
+        intern: TupleInterner::new(np, parts.iter().map(|p| p.num_states()).sum()),
+        cand: vec![0; np],
+        work: vec![0],
+        dedup_hits: 0,
+    };
+    let root: Vec<u32> = parts.iter().map(|p| p.initial().0).collect();
+    x.intern.intern(&root);
     let mut ext_edges: Vec<(u32, u32, u32)> = Vec::new();
     let mut int_edges: Vec<(u32, u32)> = Vec::new();
-    let mut dedup_hits = 0usize;
-    let mut key_bytes = 0usize;
-
-    let root: Box<[u32]> = parts.iter().map(|p| p.initial().0).collect();
-    key_bytes += root.len() * 4;
-    intern.insert(root.clone(), 0);
-    tuples.push(root);
-    work.push(0);
-
-    // Interns `cur` with position `i` (and optionally `j`) replaced.
-    let mut reach = |cur: &[u32],
-                     i: usize,
-                     ti: u32,
-                     j: Option<(usize, u32)>,
-                     intern: &mut HashMap<Box<[u32]>, u32>,
-                     tuples: &mut Vec<Box<[u32]>>,
-                     work: &mut Vec<u32>|
-     -> u32 {
-        let mut t: Box<[u32]> = cur.into();
-        t[i] = ti;
-        if let Some((j, tj)) = j {
-            t[j] = tj;
-        }
-        if let Some(&id) = intern.get(&t) {
-            dedup_hits += 1;
-            return id;
-        }
-        let id = tuples.len() as u32;
-        key_bytes += t.len() * 4;
-        intern.insert(t.clone(), id);
-        tuples.push(t);
-        work.push(id);
-        id
-    };
 
     let mut cur = vec![0u32; np];
     // LIFO pop mirrors the reference `compose` work stack, so ids are
     // assigned in the same first-reference order.
-    while let Some(id) = work.pop() {
-        cur.copy_from_slice(&tuples[id as usize]);
+    while let Some(id) = x.work.pop() {
+        cur.copy_from_slice(x.intern.get(id));
         // Phase A: the outermost fold level — solo externals and
         // synchronisations with the last component, interleaved in each
         // component's stored edge order.
@@ -316,21 +301,13 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
             for pe in &part_edges[i][cur[i] as usize] {
                 match pe.kind {
                     EdgeKind::Solo(ev) => {
-                        let to = reach(&cur, i, pe.tgt, None, &mut intern, &mut tuples, &mut work);
+                        let to = x.reach(&cur, i, pe.tgt, None);
                         ext_edges.push((id, ev, to));
                     }
                     EdgeKind::Shared(other) if other as usize == last && i != last => {
                         for qe in &part_edges[last][cur[last] as usize] {
                             if qe.e == pe.e {
-                                let to = reach(
-                                    &cur,
-                                    i,
-                                    pe.tgt,
-                                    Some((last, qe.tgt)),
-                                    &mut intern,
-                                    &mut tuples,
-                                    &mut work,
-                                );
+                                let to = x.reach(&cur, i, pe.tgt, Some((last, qe.tgt)));
                                 int_edges.push((id, to));
                             }
                         }
@@ -347,15 +324,7 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
                         if other as usize == k {
                             for qe in &part_edges[k][cur[k] as usize] {
                                 if qe.e == pe.e {
-                                    let to = reach(
-                                        &cur,
-                                        i,
-                                        pe.tgt,
-                                        Some((k, qe.tgt)),
-                                        &mut intern,
-                                        &mut tuples,
-                                        &mut work,
-                                    );
+                                    let to = x.reach(&cur, i, pe.tgt, Some((k, qe.tgt)));
                                     int_edges.push((id, to));
                                 }
                             }
@@ -367,13 +336,13 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
         // Phase C: internal moves of every component, ascending.
         for (i, p) in parts.iter().enumerate() {
             for &t in p.internal_from(StateId(cur[i])) {
-                let to = reach(&cur, i, t.0, None, &mut intern, &mut tuples, &mut work);
+                let to = x.reach(&cur, i, t.0, None);
                 int_edges.push((id, to));
             }
         }
     }
 
-    let n = tuples.len();
+    let n = x.intern.len();
     let (ext_off, ext_ev, ext_tgt) = csr_ext(n, &ext_edges);
     let (int_off, int_tgt) = csr_int(n, &int_edges);
     let mut c = CompiledComposite {
@@ -384,12 +353,132 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
         ext_tgt,
         int_off,
         int_tgt,
-        dedup_hits,
+        dedup_hits: x.dedup_hits,
         arena_bytes: 0,
-        tuples,
+        width: np,
+        tuples: x.intern.arena,
     };
-    c.finish_arena(key_bytes);
+    c.finish_arena();
     c
+}
+
+/// Exploration state of [`build_nway`]: the intern table, the LIFO
+/// work stack, and one scratch tuple for building successors.
+struct Explorer {
+    intern: TupleInterner,
+    cand: Vec<u32>,
+    work: Vec<u32>,
+    dedup_hits: usize,
+}
+
+impl Explorer {
+    /// Interns `cur` with position `i` (and optionally `j`) replaced,
+    /// pushing a fresh id on the work stack. Builds the candidate in
+    /// the scratch tuple, so a hit allocates nothing.
+    fn reach(&mut self, cur: &[u32], i: usize, ti: u32, j: Option<(usize, u32)>) -> u32 {
+        self.cand.copy_from_slice(cur);
+        self.cand[i] = ti;
+        if let Some((j, tj)) = j {
+            self.cand[j] = tj;
+        }
+        let (id, fresh) = self.intern.intern(&self.cand);
+        if fresh {
+            self.work.push(id);
+        } else {
+            self.dedup_hits += 1;
+        }
+        id
+    }
+}
+
+/// Slot sentinel of [`TupleInterner`].
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Open-addressing intern table over a flat arena of fixed-width `u32`
+/// tuples: id `k` owns `arena[k * width..(k + 1) * width]`, and each
+/// slot holds an id or [`EMPTY_SLOT`]. Linear probing, at most half
+/// full; the slot is the top bits of a multiplicative hash.
+///
+/// Ids are handed out in first-intern order, so slot placement never
+/// shows in the result. The hash starts from a per-table random seed:
+/// specs can arrive from outside the program (registry admission), and
+/// a fixed hash would let crafted state tuples collide on purpose.
+struct TupleInterner {
+    width: usize,
+    arena: Vec<u32>,
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`.
+    shift: u32,
+    seed: u64,
+}
+
+impl TupleInterner {
+    /// An empty table of `expect` slots (rounded up to a power of
+    /// two), first grown past `expect / 2` tuples.
+    fn new(width: usize, expect: usize) -> TupleInterner {
+        let cap = expect.next_power_of_two().max(16);
+        TupleInterner {
+            width,
+            arena: Vec::with_capacity(expect * width),
+            slots: vec![EMPTY_SLOT; cap],
+            shift: 64 - cap.trailing_zeros(),
+            seed: RandomState::new().hash_one(width),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.arena.len() / self.width
+    }
+
+    fn get(&self, id: u32) -> &[u32] {
+        let at = id as usize * self.width;
+        &self.arena[at..at + self.width]
+    }
+
+    fn home(&self, t: &[u32]) -> usize {
+        let mut h = self.seed;
+        for &w in t {
+            h = (h.rotate_left(5) ^ u64::from(w)).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        (h >> self.shift) as usize
+    }
+
+    /// The id of `t`, interning it first if it is new (`true`).
+    fn intern(&mut self, t: &[u32]) -> (u32, bool) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(t);
+        loop {
+            let id = self.slots[i];
+            if id == EMPTY_SLOT {
+                break;
+            }
+            if self.get(id) == t {
+                return (id, false);
+            }
+            i = (i + 1) & mask;
+        }
+        let id = self.len() as u32;
+        self.arena.extend_from_slice(t);
+        self.slots[i] = id;
+        if 2 * self.len() > self.slots.len() {
+            self.grow();
+        }
+        (id, true)
+    }
+
+    /// Doubles the slot array and re-inserts every id.
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY_SLOT; self.slots.len() * 2];
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for id in 0..self.len() as u32 {
+            let mut i = self.home(self.get(id));
+            while self.slots[i] != EMPTY_SLOT {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = id;
+        }
+    }
 }
 
 /// Stable counting sort of `(from, ev, tgt)` edges into CSR rows.
@@ -446,7 +535,9 @@ pub fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
     let mut scc_of = vec![UNVISITED; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut frames: Vec<(u32, u32)> = Vec::new();
-    let mut scc_members: Vec<Vec<u32>> = Vec::new();
+    // SCC `c` is `members[scc_start[c]..scc_start[c + 1]]`.
+    let mut members: Vec<u32> = Vec::with_capacity(n);
+    let mut scc_start: Vec<u32> = vec![0];
     let mut next_index = 0u32;
 
     for root in 0..n as u32 {
@@ -485,8 +576,7 @@ pub fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
                     low[p] = low[p].min(low[s]);
                 }
                 if low[s] == index[s] {
-                    let scc = scc_members.len() as u32;
-                    let mut members = Vec::new();
+                    let scc = scc_start.len() as u32 - 1;
                     loop {
                         let w = stack.pop().expect("Tarjan stack underflow");
                         on_stack[w as usize] = false;
@@ -496,7 +586,7 @@ pub fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
                             break;
                         }
                     }
-                    scc_members.push(members);
+                    scc_start.push(members.len() as u32);
                 }
             }
         }
@@ -504,12 +594,12 @@ pub fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
 
     // SCCs complete successors-first, so a single ascending pass is the
     // reverse topological DP.
-    let nscc = scc_members.len();
+    let nscc = scc_start.len() - 1;
     let mut scc_bits = vec![0u64; nscc * words];
     let mut acc = vec![0u64; words];
     for ci in 0..nscc {
         acc.iter_mut().for_each(|w| *w = 0);
-        for &s in &scc_members[ci] {
+        for &s in &members[scc_start[ci] as usize..scc_start[ci + 1] as usize] {
             let su = s as usize;
             for k in comp.ext_off[su] as usize..comp.ext_off[su + 1] as usize {
                 set_bit(&mut acc, comp.ext_ev[k]);

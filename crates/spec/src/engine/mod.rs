@@ -135,6 +135,40 @@ fn solo_alphabet(counts: &HashMap<EventId, usize>) -> Alphabet {
     a
 }
 
+/// A system validated against its service and compiled once: the
+/// service's event table and the composite `P_0 ‖ … ‖ P_{n-1}` over it.
+pub struct CompiledSystem {
+    /// The event table of the service alphabet, which is also the
+    /// composite's interface.
+    pub table: EventTable,
+    /// The composite, compiled over `table`.
+    pub comp: CompiledComposite,
+}
+
+/// Validates `parts` against `service` and compiles their composite:
+/// no event may be shared by more than two components, and the
+/// composite interface (the events owned by exactly one component) must
+/// equal the service alphabet. This one check and compile serves both
+/// [`verify_system`] and the runtime guard, so the composite the
+/// product check proves is the one a guard built on it runs.
+pub fn compile_system(parts: &[&Spec], service: &Spec) -> Result<CompiledSystem, SpecError> {
+    assert!(
+        !parts.is_empty(),
+        "compile_system needs at least one component"
+    );
+    let counts = event_counts(parts)?;
+    let iface = solo_alphabet(&counts);
+    if &iface != service.alphabet() {
+        return Err(SpecError::InterfaceMismatch {
+            left: format!("{iface}"),
+            right: format!("{}", service.alphabet()),
+        });
+    }
+    let table = EventTable::new(service.alphabet());
+    let comp = compile_composite(parts, &table)?;
+    Ok(CompiledSystem { table, comp })
+}
+
 /// Checks `P_0 ‖ … ‖ P_{n-1} satisfies service` on the compiled engine.
 ///
 /// Equivalent to `satisfies(&compose_all(parts)?, service)` — same
@@ -146,28 +180,45 @@ pub fn verify_system(
     service: &Spec,
     threads: usize,
 ) -> Result<EngineVerdict, SpecError> {
-    assert!(
-        !parts.is_empty(),
-        "verify_system needs at least one component"
-    );
-    let counts = event_counts(parts)?;
-    let iface = solo_alphabet(&counts);
-    if &iface != service.alphabet() {
+    let sys = compile_system(parts, service)?;
+    Ok(check_product(
+        Arc::new(sys.comp),
+        &sys.table,
+        service,
+        threads,
+    ))
+}
+
+/// The product check of [`verify_system`] (safety, then progress) on a
+/// composite compiled earlier, e.g. by [`compile_system`]. `table` must
+/// be the event table of `service`'s alphabet, and `comp` compiled over
+/// it; a table over another alphabet is an interface mismatch.
+pub fn verify_compiled(
+    comp: &Arc<CompiledComposite>,
+    table: &EventTable,
+    service: &Spec,
+    threads: usize,
+) -> Result<EngineVerdict, SpecError> {
+    if table.events != EventTable::new(service.alphabet()).events {
+        let iface: Alphabet = table.events.iter().copied().collect();
         return Err(SpecError::InterfaceMismatch {
             left: format!("{iface}"),
             right: format!("{}", service.alphabet()),
         });
     }
+    Ok(check_product(Arc::clone(comp), table, service, threads))
+}
+
+fn check_product(
+    comp: Arc<CompiledComposite>,
+    tbl: &EventTable,
+    service: &Spec,
+    threads: usize,
+) -> EngineVerdict {
     let threads = threads.max(1);
-    let tbl = EventTable::new(service.alphabet());
-    let comp = Arc::new(if parts.len() == 1 {
-        build_single(parts[0], &tbl)
-    } else {
-        build_nway(parts, &tbl)
-    });
-    let norm = Arc::new(compile_normal(service, &tbl));
-    let outcome = run_product(Arc::clone(&comp), Arc::clone(&norm), &tbl, threads);
-    Ok(EngineVerdict {
+    let norm = Arc::new(compile_normal(service, tbl));
+    let outcome = run_product(Arc::clone(&comp), Arc::clone(&norm), tbl, threads);
+    EngineVerdict {
         verdict: outcome.verdict,
         stats: VerifyEngineStats {
             states: comp.n,
@@ -178,7 +229,7 @@ pub fn verify_system(
             arena_bytes: comp.arena_bytes + norm.arena_bytes,
             threads,
         },
-    })
+    }
 }
 
 /// Engine counterpart of [`crate::satisfies`]: checks `B satisfies A`
@@ -211,10 +262,9 @@ pub fn compose_all_nway(parts: &[&Spec]) -> Result<Spec, SpecError> {
         .map(|p| p.name().to_string())
         .collect::<Vec<_>>()
         .join("||");
-    let names: Vec<String> = comp
-        .tuples
-        .iter()
-        .map(|t| {
+    let names: Vec<String> = (0..comp.n as u32)
+        .map(|s| {
+            let t = comp.tuple(s);
             let mut label = parts[0].state_name(StateId(t[0])).to_string();
             for (i, &s) in t.iter().enumerate().skip(1) {
                 label = format!("({},{})", label, parts[i].state_name(StateId(s)));
@@ -394,6 +444,27 @@ mod tests {
         let reference = satisfies(&b, &a).unwrap_err();
         let engine = satisfies_engine(&b, &a, 1).unwrap_err();
         assert_eq!(format!("{reference}"), format!("{engine}"));
+    }
+
+    #[test]
+    fn verify_compiled_checks_the_compiled_system() {
+        let service = alternator("svc", "acc", "del");
+        let (a, b) = (alternator("A", "acc", "x"), alternator("B", "x", "del"));
+        let sys = compile_system(&[&a, &b], &service).unwrap();
+        let comp = Arc::new(sys.comp);
+        let compiled = verify_compiled(&comp, &sys.table, &service, 1).unwrap();
+        let direct = verify_system(&[&a, &b], &service, 1).unwrap();
+        assert_eq!(
+            format!("{:?}", compiled.verdict),
+            format!("{:?}", direct.verdict)
+        );
+        assert_eq!(compiled.stats, direct.stats);
+        // A table over another alphabet is an interface mismatch.
+        let other = alternator("other", "acc", "out");
+        assert!(matches!(
+            verify_compiled(&comp, &sys.table, &other, 1),
+            Err(SpecError::InterfaceMismatch { .. })
+        ));
     }
 
     #[test]

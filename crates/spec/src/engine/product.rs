@@ -4,6 +4,8 @@
 //! The happy path is fully parallel: a condvar work-queue frontier (the
 //! `safety_engine` pattern) marks reachable pairs in an atomic bitmap,
 //! then the progress scan partitions the pair space across the pool.
+//! With one worker the frontier is a plain stack: the order of marking
+//! does not matter, only the set of marked pairs.
 //! Only when a check *fails* does a sequential canonical BFS re-walk
 //! run, reproducing the reference exploration order exactly — so the
 //! witness trace, violation state id, and needed/offered sets are bit
@@ -40,8 +42,35 @@ fn try_mark(seen: &[AtomicU64], p: u64) -> bool {
     seen[(p / 64) as usize].fetch_or(bit, Ordering::Relaxed) & bit == 0
 }
 
+/// Marks the unseen successors of pair `p` and appends them to `out`.
+/// Returns `false` (flagging the frontier) if `p` has an external edge
+/// ψ cannot take: a safety violation.
+fn expand(sh: &Frontier, p: u64, out: &mut Vec<u64>) -> bool {
+    let t = (p / sh.nh) as usize;
+    let h = (p % sh.nh) as usize;
+    let comp = &*sh.comp;
+    for &s2 in &comp.int_tgt[comp.int_off[t] as usize..comp.int_off[t + 1] as usize] {
+        let p2 = s2 as u64 * sh.nh + h as u64;
+        if try_mark(&sh.seen, p2) {
+            out.push(p2);
+        }
+    }
+    let step = &sh.norm.step[h * sh.norm.ne..(h + 1) * sh.norm.ne];
+    for k in comp.ext_off[t] as usize..comp.ext_off[t + 1] as usize {
+        let h2 = step[comp.ext_ev[k] as usize];
+        if h2 == NO_HUB {
+            sh.violated.store(true, Ordering::Relaxed);
+            return false;
+        }
+        let p2 = comp.ext_tgt[k] as u64 * sh.nh + h2 as u64;
+        if try_mark(&sh.seen, p2) {
+            out.push(p2);
+        }
+    }
+    true
+}
+
 fn run_worker(sh: &Frontier) {
-    let ne = sh.norm.ne;
     let mut discovered: Vec<u64> = Vec::new();
     loop {
         let item = {
@@ -65,28 +94,8 @@ fn run_worker(sh: &Frontier) {
             return;
         };
 
-        let t = (p / sh.nh) as usize;
-        let h = (p % sh.nh) as usize;
         discovered.clear();
-        let mut abort = false;
-        for k in sh.comp.int_off[t] as usize..sh.comp.int_off[t + 1] as usize {
-            let p2 = sh.comp.int_tgt[k] as u64 * sh.nh + h as u64;
-            if try_mark(&sh.seen, p2) {
-                discovered.push(p2);
-            }
-        }
-        for k in sh.comp.ext_off[t] as usize..sh.comp.ext_off[t + 1] as usize {
-            let h2 = sh.norm.step[h * ne + sh.comp.ext_ev[k] as usize];
-            if h2 == NO_HUB {
-                sh.violated.store(true, Ordering::Relaxed);
-                abort = true;
-                break;
-            }
-            let p2 = sh.comp.ext_tgt[k] as u64 * sh.nh + h2 as u64;
-            if try_mark(&sh.seen, p2) {
-                discovered.push(p2);
-            }
-        }
+        let abort = !expand(sh, p, &mut discovered);
 
         let mut q = sh.queue.lock().expect("frontier queue poisoned");
         if abort {
@@ -230,7 +239,14 @@ pub(crate) fn run_product(
     });
 
     if threads == 1 {
-        run_worker(&frontier);
+        // One worker needs no queue: a plain depth-first stack reaches
+        // the same seen set (or the same "violated" flag).
+        let mut stack = vec![root];
+        while let Some(p) = stack.pop() {
+            if !expand(&frontier, p, &mut stack) {
+                break;
+            }
+        }
     } else {
         let pool = ThreadPool::new(threads);
         for _ in 0..threads {
