@@ -113,15 +113,9 @@ fn loopback_throughput(threads: usize, runs: u64) -> (f64, u64) {
 /// most of its time scheduling faulted component steps, which caps the
 /// measured rate well below what the runtime itself sustains. The pump
 /// isolates the per-frame runtime cost, so it is the workload that
-/// shows the determinized guard's O(1) convictions (set
-/// `reference_guard` to compare against the subset-replaying oracle).
+/// shows the determinized guard's O(1) convictions.
 /// Returns `(accepted events/sec, frames pumped)`.
-fn pump_throughput(
-    threads: usize,
-    reference_guard: bool,
-    sessions_per_thread: u64,
-    trace_len: usize,
-) -> (f64, u64) {
+fn pump_throughput(threads: usize, sessions_per_thread: u64, trace_len: usize) -> (f64, u64) {
     let cfg = protoquot_protocols::colocated_configuration();
     let service = exactly_once();
     let q = solve(&cfg.b, &service, &cfg.int).expect("Fig. 14 converter exists");
@@ -130,20 +124,17 @@ fn pump_throughput(
         &q.converter,
         &service,
         threads,
-        reference_guard,
         sessions_per_thread,
         trace_len,
     )
 }
 
 /// [`pump_throughput`] over an arbitrary `B`/converter/service triple.
-#[allow(clippy::too_many_arguments)]
 fn pump_throughput_on(
     b: &protoquot_spec::Spec,
     converter: &protoquot_spec::Spec,
     service: &protoquot_spec::Spec,
     threads: usize,
-    reference_guard: bool,
     sessions_per_thread: u64,
     trace_len: usize,
 ) -> (f64, u64) {
@@ -152,7 +143,6 @@ fn pump_throughput_on(
         service,
         GatewayConfig {
             workers: threads,
-            reference_guard,
             ..GatewayConfig::default()
         },
     )
@@ -192,27 +182,18 @@ fn pump_throughput_on(
 /// sessions over **one** socket, pushing a sampled accepted trace
 /// through every session in batched rounds (one frame per session per
 /// round, replies drained before the next round — so per-session wire
-/// order is program order). `batching: false` drops the server to the
-/// per-frame dispatch path (the EXP-R5 before/after axis). Returns
-/// `(accepted events/sec, frames pumped)`.
+/// order is program order). Returns `(accepted events/sec, frames
+/// pumped)`.
 fn reactor_pump_throughput(
     clients: usize,
     sessions_per_client: u64,
     trace_len: usize,
-    batching: bool,
 ) -> (f64, u64) {
     let cfg = protoquot_protocols::colocated_configuration();
     let service = exactly_once();
     let q = solve(&cfg.b, &service, &cfg.int).expect("Fig. 14 converter exists");
-    let gw = Gateway::new(
-        &[&cfg.b, &q.converter],
-        &service,
-        GatewayConfig {
-            batching,
-            ..GatewayConfig::default()
-        },
-    )
-    .expect("gateway must compile the system");
+    let gw = Gateway::new(&[&cfg.b, &q.converter], &service, GatewayConfig::default())
+        .expect("gateway must compile the system");
     let trace = gw.program().sample_accepted(trace_len);
     assert!(!trace.is_empty(), "colocated system must relay events");
     let mut server = ReactorServer::bind(gw.clone(), "127.0.0.1:0", ReactorConfig::default())
@@ -411,13 +392,12 @@ fn quick_smoke() -> i32 {
     // Best-of-2 gateway capacity pump at one thread (EXP-R2 workload,
     // scaled down for CI): the determinized guard's per-frame rate.
     let serve_events_per_sec = (0..2)
-        .map(|_| pump_throughput(1, false, 8, 2_048).0)
+        .map(|_| pump_throughput(1, 8, 2_048).0)
         .fold(0.0f64, f64::max);
     // Best-of-2 reactor pump (EXP-R3 workload, scaled down for CI): 256
-    // sessions multiplexed over one real loopback socket, batched
-    // dispatch on (the production default).
+    // sessions multiplexed over one real loopback socket.
     let reactor_events_per_sec = (0..2)
-        .map(|_| reactor_pump_throughput(1, 256, 256, true).0)
+        .map(|_| reactor_pump_throughput(1, 256, 256).0)
         .fold(0.0f64, f64::max);
     let guard_build_ms = guard_build_time();
     let json = format!(
@@ -1038,9 +1018,7 @@ fn main() {
     {
         // How fast the runtime itself takes frames once the simulator
         // is out of the loop: a sampled accepted trace pumped through
-        // the full loopback wire path, determinized DFA guard vs the
-        // subset-replaying reference oracle. The reference cells pump
-        // fewer frames — they are two to three orders slower per frame.
+        // the full loopback wire path and the determinized DFA guard.
         let cfg = protoquot_protocols::colocated_configuration();
         let q = solve(&cfg.b, &exactly_once(), &cfg.int).unwrap();
         let prog = GuardProgram::new(&[&cfg.b, &q.converter], &exactly_once()).unwrap();
@@ -1053,41 +1031,21 @@ fn main() {
             "{:>12} {:>10} {:>8} {:>12} {:>14}",
             "system", "guard", "threads", "frames", "events/sec"
         );
-        for (label, reference, sessions, trace_len) in [
-            ("dfa", false, 16u64, 4_096usize),
-            ("reference", true, 4, 512),
-        ] {
-            for threads in [1usize, 2, 8] {
-                let (events_per_sec, frames) =
-                    pump_throughput(threads, reference, sessions, trace_len);
-                println!(
-                    "{:>12} {label:>10} {threads:>8} {frames:>12} {events_per_sec:>14.0}",
-                    "colocated"
-                );
-            }
-        }
-        // The symmetric system is where determinization earns its keep:
-        // its composite subsets reach four digits, so the reference
-        // oracle pays a τ-closure over a thousand-state frontier per
-        // frame while the DFA still pays one table load.
-        for (label, reference, sessions, trace_len) in [
-            ("dfa", false, 16u64, 4_096usize),
-            ("reference", true, 1, 128),
-        ] {
-            let (events_per_sec, frames) = pump_throughput_on(
-                &sym.b,
-                &qs.converter,
-                &at_least_once(),
-                1,
-                reference,
-                sessions,
-                trace_len,
-            );
+        for threads in [1usize, 2, 8] {
+            let (events_per_sec, frames) = pump_throughput(threads, 16, 4_096);
             println!(
-                "{:>12} {label:>10} {:>8} {frames:>12} {events_per_sec:>14.0}",
-                "EXP-W/sym", 1
+                "{:>12} {:>10} {threads:>8} {frames:>12} {events_per_sec:>14.0}",
+                "colocated", "dfa"
             );
         }
+        // The symmetric system's composite subsets reach four digits;
+        // the DFA still pays one table load per frame.
+        let (events_per_sec, frames) =
+            pump_throughput_on(&sym.b, &qs.converter, &at_least_once(), 1, 16, 4_096);
+        println!(
+            "{:>12} {:>10} {:>8} {frames:>12} {events_per_sec:>14.0}",
+            "EXP-W/sym", "dfa", 1
+        );
     }
 
     println!("\n== EXP-R3: reactor concurrency — events/s and memory vs session count ==");
@@ -1125,34 +1083,21 @@ fn main() {
         }
     }
 
-    println!("\n== EXP-R5: batched dispatch — reactor pump, batched vs per-frame ==");
+    println!("\n== EXP-R5: batched dispatch — reactor pump ==");
     {
-        // The same reactor mux pump with the gateway's batched hot
-        // path switched off: every readiness chunk is then dispatched
-        // one frame at a time through `Gateway::call` with a boxed
-        // responder and a waker round-trip per reply, exactly the
-        // pre-batching runtime. The before/after ratio is the price
-        // of per-frame dispatch the batch path eliminates — one shard
-        // lookup, one session lock, one contiguous guard-DFA run per
-        // session per readiness batch, replies coalesced into a
-        // single buffered write.
+        // The reactor mux pump at several client/session shapes: one
+        // shard lookup, one session lock, one contiguous guard-DFA run
+        // per session per readiness batch, replies coalesced into a
+        // single buffered write. Best of two runs per row.
         println!(
-            "{:>10} {:>10} {:>12} {:>14} {:>14} {:>10}",
-            "clients", "sessions", "frames", "per-frame/s", "batched/s", "speedup"
+            "{:>10} {:>10} {:>12} {:>14}",
+            "clients", "sessions", "frames", "batched/s"
         );
         for &(clients, sessions) in &[(1usize, 256u64), (1, 1_024), (2, 512)] {
-            let best = |batching: bool| {
-                (0..2)
-                    .map(|_| reactor_pump_throughput(clients, sessions, 256, batching))
-                    .fold((0.0f64, 0u64), |acc, r| (acc.0.max(r.0), r.1))
-            };
-            let (per_frame, frames) = best(false);
-            let (batched, _) = best(true);
-            println!(
-                "{clients:>10} {sessions:>10} {frames:>12} {per_frame:>14.0} \
-                 {batched:>14.0} {:>9.2}x",
-                batched / per_frame
-            );
+            let (batched, frames) = (0..2)
+                .map(|_| reactor_pump_throughput(clients, sessions, 256))
+                .fold((0.0f64, 0u64), |acc, r| (acc.0.max(r.0), r.1));
+            println!("{clients:>10} {sessions:>10} {frames:>12} {batched:>14.0}");
         }
     }
 

@@ -111,14 +111,14 @@ usage:
   protoquot serve (FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K])
             [--addr HOST:PORT] [--transport blocking|reactor] [--loops N]
             [--threads N] [--duration SECS] [--stats] [--frame-budget N]
-            [--max-sessions-per-conn N] [--read-deadline SECS] [--no-batch]
+            [--max-sessions-per-conn N] [--read-deadline SECS]
             [--registry DIR [--control HOST:PORT]] [--require-hello]
   protoquot reload --control HOST:PORT --artifact PATH
   protoquot drive (FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K])
             (--connect HOST:PORT | --loopback) [--runs N] [--threads T] [--steps N]
             [--sessions-per-conn N] [--pipeline N] [--faults loss,dup,reorder,burst]
             [--seed S] [--duration SECS] [--expect-clean] [--adversarial] [--json]
-            [--no-batch] [--no-hello]
+            [--no-hello]
   protoquot fuzz [FILE --service SPEC --components S1,S2,... | --builtin NAME [--mutate K]]
             [--target codec|guard|gateway|batch|artifact|all] [--seed S] [--iters N]
             [--max-len N] [--no-shrink] [--json]
@@ -204,6 +204,24 @@ const VALUED: &[&str] = &[
     "--artifact",
 ];
 
+/// Which flags are boolean switches. A flag in neither list is a usage
+/// error, so a typo cannot silently drop a switch such as
+/// `--expect-clean`.
+const SWITCHES: &[&str] = &[
+    "--adversarial",
+    "--dot",
+    "--expect-clean",
+    "--json",
+    "--loopback",
+    "--no-hello",
+    "--no-shrink",
+    "--prune",
+    "--reachable",
+    "--require-hello",
+    "--stats",
+    "--vacuous",
+];
+
 fn parse_args(rest: &[String]) -> Result<Parsed, CliError> {
     let mut positional = Vec::new();
     let mut flags: Vec<(String, Vec<String>)> = Vec::new();
@@ -220,11 +238,13 @@ fn parse_args(rest: &[String]) -> Result<Parsed, CliError> {
                     None => flags.push((flag, vec![v.clone()])),
                 }
                 i += 2;
-            } else {
+            } else if SWITCHES.contains(&flag.as_str()) {
                 if !flags.iter().any(|(f, _)| *f == flag) {
                     flags.push((flag, Vec::new()));
                 }
                 i += 1;
+            } else {
+                return err(format!("unknown flag `{flag}`\n\n{USAGE}"));
             }
         } else {
             positional.push(a.clone());
@@ -997,7 +1017,7 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
          --builtin colocated|symmetric|ab-nak [--mutate K]) [--addr HOST:PORT] \
          [--transport blocking|reactor] [--loops N] [--threads N] \
          [--duration SECS] [--stats] [--frame-budget N] \
-         [--max-sessions-per-conn N] [--read-deadline SECS] [--no-batch] \
+         [--max-sessions-per-conn N] [--read-deadline SECS] \
          [--registry DIR [--control HOST:PORT]] [--require-hello]",
     )?;
     let workers: usize = match p.value("--threads") {
@@ -1040,9 +1060,6 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
     let cfg = GatewayConfig {
         workers,
         session_frame_budget: frame_budget,
-        // `--no-batch` drops every transport back to the per-frame
-        // dispatch path — the differential oracle for the batched one.
-        batching: !p.has("--no-batch"),
         ..GatewayConfig::default()
     };
     let gw = Gateway::new(&parts, &service, cfg).map_err(|e| CliError(e.to_string()))?;
@@ -1286,7 +1303,7 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
          --builtin colocated|symmetric|ab-nak [--mutate K]) (--connect HOST:PORT | \
          --loopback) [--runs N] [--threads T] [--steps N] [--sessions-per-conn N] \
          [--pipeline N] [--faults loss,dup,reorder,burst] [--seed S] [--duration SECS] \
-         [--expect-clean] [--adversarial] [--json] [--no-batch] [--no-hello]",
+         [--expect-clean] [--adversarial] [--json] [--no-hello]",
     )?;
     let parse_num = |flag: &str, default: u64| -> Result<u64, CliError> {
         match p.value(flag) {
@@ -1349,7 +1366,6 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
             let parts: Vec<&Spec> = components.iter().collect();
             let gw_cfg = GatewayConfig {
                 workers: cfg.threads.max(1),
-                batching: !p.has("--no-batch"),
                 ..GatewayConfig::default()
             };
             let gw = Gateway::new(&parts, &service, gw_cfg).map_err(|e| CliError(e.to_string()))?;
@@ -2054,11 +2070,10 @@ mod tests {
     }
 
     #[test]
-    fn drive_pipeline_and_batching_flags_do_not_change_the_report() {
-        // One clean multiplexed campaign, then the same seed with the
-        // batched dispatch disabled and with a pipeline window: the
-        // reports must be byte-identical (the flags change the hot
-        // path, never the outcome).
+    fn drive_pipeline_flag_does_not_change_the_report() {
+        // One clean multiplexed campaign, then the same seed with a
+        // pipeline window: the reports must be byte-identical (the
+        // window changes the hot path, never the outcome).
         let base = &[
             "drive",
             "--builtin",
@@ -2074,9 +2089,6 @@ mod tests {
             "--json",
         ];
         let batched = run_ok(base);
-        let mut no_batch = base.to_vec();
-        no_batch.push("--no-batch");
-        assert_eq!(batched, run_ok(&no_batch), "--no-batch changed the report");
         let mut piped = base.to_vec();
         piped.extend(["--pipeline", "8"]);
         assert_eq!(batched, run_ok(&piped), "--pipeline changed the report");
@@ -2258,6 +2270,32 @@ mod tests {
         let help = run(&["help".to_owned()]).unwrap();
         assert!(help.contains("usage:"));
         assert!(run(&[]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // A typo of a switch, and the removed `--no-batch`, must fail
+        // before any campaign runs instead of being ignored.
+        for flag in ["--expect-clen", "--no-batch"] {
+            let args: Vec<String> = [
+                "drive",
+                "--builtin",
+                "colocated",
+                "--loopback",
+                "--runs",
+                "1",
+                flag,
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+            let e = run(&args).unwrap_err();
+            assert!(
+                e.to_string().contains(&format!("unknown flag `{flag}`")),
+                "{flag}: {e}"
+            );
+            assert_eq!(e.exit_code(), 1);
+        }
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub struct AttackOutcome {
     /// Accepted replies among them.
     pub accepted: u64,
     /// Reject-reason histogram. Omitted (left empty) by the
-    /// backpressure attack, whose accept/reject mix depends on worker
-    /// scheduling; every other attack's mix is deterministic.
+    /// backpressure attack, which reports totals only; every other
+    /// attack's mix is deterministic.
     pub rejects: BTreeMap<String, u64>,
     /// The server cut the connection.
     pub conn_cut: bool,
@@ -471,10 +471,11 @@ fn slow_drip<A: ToSocketAddrs>(addr: A, cfg: &AdversarialConfig) -> io::Result<A
 }
 
 /// Backpressure abuse: a burst of frames on one session without
-/// reading a single reply, then drain them all. The session's bounded
-/// queue may bounce any prefix of the burst (`backpressure`), but
-/// every frame must be answered. The accept/reject mix depends on
-/// worker scheduling, so this outcome reports totals only.
+/// reading a single reply, then drain them all. Every frame must be
+/// answered. The socket servers answer a burst inline, so none of it
+/// bounces; a gateway that queued it could bounce part of it
+/// (`backpressure`) depending on worker scheduling, so this outcome
+/// reports totals only.
 fn backpressure<A: ToSocketAddrs>(addr: A, cfg: &AdversarialConfig) -> io::Result<AttackOutcome> {
     let mut out = AttackOutcome::new("backpressure");
     let mut stream = connect(addr, cfg)?;
@@ -504,9 +505,7 @@ fn backpressure<A: ToSocketAddrs>(addr: A, cfg: &AdversarialConfig) -> io::Resul
     out.frames_sent = n + 1;
     for _ in 0..out.frames_sent {
         match read_one(&mut stream) {
-            // Reason mix is scheduling-dependent (a burst outrunning
-            // the drain sees backpressure, a lucky one does not):
-            // count the reply, skip the histogram and the accepted
+            // Count the reply, skip the histogram and the accepted
             // tally, so the report stays transport-invariant.
             ReadOutcome::Reply(_) => out.replies += 1,
             ReadOutcome::Cut => {

@@ -285,7 +285,6 @@ pub fn fuzz(
         // A tiny budget so the fuzzer exercises the expulsion path
         // on ordinary inputs, not only on 1000-frame outliers.
         session_frame_budget: 24,
-        ..GatewayConfig::default()
     };
     let gateway = Gateway::new(parts, service, fuzz_gateway_cfg.clone())?;
     // The batch target's per-frame oracle: identical configuration,

@@ -2,24 +2,26 @@
 //!
 //! A [`Gateway`] owns one compiled [`GuardProgram`] and a sharded
 //! session table: `session id → SessionCore` (guard state plus a
-//! bounded frame queue), spread over `shards` stripe-locked maps.
-//! Frames are submitted with a responder callback; a worker from the
-//! shared [`threadpool::ThreadPool`] drains each session's queue in
-//! order — popping up to a batch of frames per lock acquisition and
-//! answering them after the lock drops — so per-session processing is
-//! serialized while distinct sessions proceed in parallel.
+//! bounded frame queue), spread over eight stripe-locked maps.
 //!
-//! The blocking [`Gateway::call`] path additionally takes an **inline
-//! fast path**: when the target session is idle (empty queue, no worker
-//! scheduled), the frame is processed on the caller's thread under the
-//! session lock — the same serialization a worker drain provides,
-//! without the channel hand-off and pool dispatch. With the guard
-//! determinized to one table row per frame, that dispatch cost was the
-//! relay's dominant term.
+//! Every transport dispatches through [`Gateway::call_batch`]: each
+//! session of a readiness batch is processed **inline** on the
+//! caller's thread under its session lock, one contiguous guard-DFA
+//! run per session, replies encoded straight into the caller's buffer.
+//! The per-frame [`Gateway::call`] takes the same inline path one frame
+//! at a time and is the batch path's differential oracle.
+//!
+//! Library callers may instead [`Gateway::submit`] frames with a
+//! responder callback; a worker from the shared
+//! [`threadpool::ThreadPool`] drains each session's queue in order —
+//! popping up to a batch of frames per lock acquisition and answering
+//! them after the lock drops — so per-session processing is serialized
+//! while distinct sessions proceed in parallel. A session with queued
+//! work is never processed inline: its frames follow the queue.
 //!
 //! Flow control and lifecycle:
 //!
-//! * a full per-session queue rejects new frames with
+//! * a full per-session queue (64 frames) rejects new frames with
 //!   [`RejectReason::Backpressure`] instead of buffering unboundedly;
 //! * [`Gateway::evict_idle`] sweeps sessions idle past the configured
 //!   timeout (only when unscheduled with an empty queue);
@@ -34,7 +36,7 @@
 //! deadlock against its own workers.
 
 use crate::codec::{encode_reply, table_hash, Frame, RejectReason, Reply, WireCodec, WireError};
-use crate::guard::{Conviction, GuardProgram, SessionGuard, SessionGuardReference};
+use crate::guard::{GuardProgram, SessionGuard};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use protoquot_spec::{Spec, SpecError};
 use std::collections::{HashMap, VecDeque};
@@ -46,6 +48,13 @@ use threadpool::ThreadPool;
 
 /// Frames a worker pops and answers per session-lock acquisition.
 const DRAIN_BATCH: usize = 32;
+
+/// Stripe-locked shards of the session table.
+const SHARDS: usize = 8;
+
+/// Per-session queue bound; beyond it submitted frames bounce with
+/// [`RejectReason::Backpressure`].
+const QUEUE_CAP: usize = 64;
 
 /// Why a [`Gateway`] failed to start.
 #[derive(Debug)]
@@ -89,11 +98,6 @@ impl From<WireError> for GatewayError {
 pub struct GatewayConfig {
     /// Worker threads draining session queues.
     pub workers: usize,
-    /// Stripe-locked shards of the session table.
-    pub shards: usize,
-    /// Per-session queue bound; beyond it frames bounce with
-    /// [`RejectReason::Backpressure`].
-    pub queue_cap: usize,
     /// Idle time after which [`Gateway::evict_idle`] removes a session.
     pub idle_timeout: Duration,
     /// Frames (events + stalls) one session may submit over its
@@ -102,30 +106,14 @@ pub struct GatewayConfig {
     /// closed, and the next idle sweep removes it. `0` disables the
     /// budget (the default — campaigns legitimately run long sessions).
     pub session_frame_budget: u64,
-    /// Run sessions on the pre-determinization subset-replaying guard
-    /// ([`SessionGuardReference`]) instead of the compiled DFA. The
-    /// differential suites and the EXP-R2 before/after comparison flip
-    /// this; production traffic keeps the default `false`.
-    pub reference_guard: bool,
-    /// Let transports take [`Gateway::call_batch`] — whole readiness
-    /// chunks processed per session-lock acquisition with replies
-    /// encoded straight into the connection's outbound buffer. `false`
-    /// forces the per-frame `submit`/`call` path everywhere; the
-    /// differential suites and EXP-R5 flip this, production traffic
-    /// keeps the default `true`.
-    pub batching: bool,
 }
 
 impl Default for GatewayConfig {
     fn default() -> GatewayConfig {
         GatewayConfig {
             workers: 4,
-            shards: 8,
-            queue_cap: 64,
             idle_timeout: Duration::from_secs(30),
             session_frame_budget: 0,
-            reference_guard: false,
-            batching: true,
         }
     }
 }
@@ -191,47 +179,8 @@ impl BatchScratch {
     }
 }
 
-/// The per-session guard, in whichever implementation the gateway was
-/// configured with. Both expose identical conviction semantics; the
-/// runtime-agreement suite holds them bit-identical.
-enum Guard {
-    Dfa(SessionGuard),
-    Reference(SessionGuardReference),
-}
-
-impl Guard {
-    fn new(prog: &Arc<GuardProgram>, reference: bool) -> Guard {
-        if reference {
-            Guard::Reference(SessionGuardReference::new(Arc::clone(prog)))
-        } else {
-            Guard::Dfa(SessionGuard::new(Arc::clone(prog)))
-        }
-    }
-
-    fn observe(&mut self, event: u16) -> Result<(), Conviction> {
-        match self {
-            Guard::Dfa(g) => g.observe(event),
-            Guard::Reference(g) => g.observe(event),
-        }
-    }
-
-    fn attest_stall(&mut self) -> Result<(), Conviction> {
-        match self {
-            Guard::Dfa(g) => g.attest_stall(),
-            Guard::Reference(g) => g.attest_stall(),
-        }
-    }
-
-    fn convicted(&self) -> Option<&Conviction> {
-        match self {
-            Guard::Dfa(g) => g.convicted(),
-            Guard::Reference(g) => g.convicted(),
-        }
-    }
-}
-
 struct SessionCore {
-    guard: Guard,
+    guard: SessionGuard,
     queue: VecDeque<(Frame, Responder)>,
     scheduled: bool,
     closed: bool,
@@ -250,7 +199,7 @@ type Shard = Mutex<HashMap<u64, Arc<Mutex<SessionCore>>>>;
 struct GatewayInner {
     /// The active converter: `(version, program)`. Read once per
     /// session open — never on the per-frame path, which goes through
-    /// the session's own `Guard`.
+    /// the session's own [`SessionGuard`].
     active: RwLock<(u32, Arc<GuardProgram>)>,
     /// The N-1 version still draining sessions, if any. Retired (and
     /// cleared) when its per-version session count reaches zero.
@@ -332,7 +281,7 @@ impl Gateway {
         let stats = RuntimeStats::with_guard_build(codec.table().len(), prog.build_stats().clone());
         let hash = table_hash(codec.table());
         stats.set_wire_identity(hash, 1);
-        let shards = (0..cfg.shards.max(1)).map(|_| Shard::default()).collect();
+        let shards = (0..SHARDS).map(|_| Shard::default()).collect();
         let pool = ThreadPool::new(cfg.workers.max(1));
         Ok(Gateway {
             inner: Arc::new(GatewayInner {
@@ -438,7 +387,7 @@ impl Gateway {
             inner.stats.note_open();
             inner.stats.note_version_open(version);
             Arc::new(Mutex::new(SessionCore {
-                guard: Guard::new(&prog, inner.cfg.reference_guard),
+                guard: SessionGuard::new(prog),
                 queue: VecDeque::new(),
                 scheduled: false,
                 closed: false,
@@ -461,7 +410,7 @@ impl Gateway {
         let inner = &self.inner;
         let schedule = {
             let mut core = core.lock().unwrap();
-            if core.queue.len() >= inner.cfg.queue_cap {
+            if core.queue.len() >= QUEUE_CAP {
                 drop(core);
                 inner.stats.note_reject(RejectReason::Backpressure);
                 respond(Reply::Rejected {
@@ -575,12 +524,6 @@ impl Gateway {
         }
     }
 
-    /// Whether transports should take the [`Gateway::call_batch`] path
-    /// ([`GatewayConfig::batching`]).
-    pub fn batching_enabled(&self) -> bool {
-        self.inner.cfg.batching
-    }
-
     /// Processes one transport batch — every frame decoded from one
     /// readiness chunk — grouped by session: one shard lookup, one
     /// session-lock acquisition, and one contiguous guard-DFA run per
@@ -595,7 +538,9 @@ impl Gateway {
     /// [`Gateway::submit`] with a responder that appends to the same
     /// outbound buffer. Frame accounting splits accordingly: inline
     /// frames are counted here, slow-path frames when `submit` sees
-    /// them.
+    /// them. Only dispatched batches count as batches: one bounced
+    /// whole by a draining gateway counts its frames and rejects only,
+    /// so `batch_frames == batch_inline + batch_slow` always holds.
     ///
     /// Replies land in `out` grouped by session (groups in order of
     /// first appearance, per-session order preserved) — equivalent to
@@ -614,7 +559,6 @@ impl Gateway {
             return;
         }
         let inner = &self.inner;
-        inner.stats.note_batch(frames.len());
         if inner.draining.load(Ordering::Acquire) {
             for frame in frames {
                 inner.stats.note_frame();
@@ -629,6 +573,7 @@ impl Gateway {
             }
             return;
         }
+        inner.stats.note_batch(frames.len());
         scratch.group(frames);
         for g in &scratch.groups {
             let core = self.core_for(g.session);
@@ -1146,6 +1091,13 @@ mod tests {
             reason: RejectReason::Draining,
         };
         assert_eq!(replies, vec![rej(7), rej(8), rej(7)]);
+        // A bounced batch was never dispatched: it counts as frames and
+        // rejects, not as a batch, so the batch counters still balance.
+        let snap = gw.stats();
+        assert_eq!(snap.frames, 3);
+        assert!(snap.rejects.contains(&("draining", 3)));
+        assert_eq!(snap.batch_frames, snap.batch_inline + snap.batch_slow);
+        assert_eq!(snap.batches, 0);
     }
 
     /// A session with queued work is never processed inline — all of
@@ -1203,17 +1155,14 @@ mod tests {
         gw.drain();
     }
 
-    /// The reference-guard configuration must answer every frame the
-    /// way the DFA gateway does — including over the queued worker
-    /// path, exercised here by submitting bursts with responders
-    /// instead of lockstep calls.
+    /// The queued worker path answers like the inline path: bursts
+    /// submitted with responders (so frames queue behind a scheduled
+    /// drain) produce, session by session, the replies and stats of
+    /// lockstep `call`s on a second gateway.
     #[test]
-    fn reference_guard_gateway_matches_dfa_replies() {
-        let dfa = gateway(GatewayConfig::default());
-        let reference = gateway(GatewayConfig {
-            reference_guard: true,
-            ..GatewayConfig::default()
-        });
+    fn submit_bursts_match_lockstep_calls() {
+        let queued = gateway(GatewayConfig::default());
+        let lockstep = gateway(GatewayConfig::default());
         let script: &[(&str, u64)] = &[
             ("acc", 1),
             ("del", 1),
@@ -1221,28 +1170,43 @@ mod tests {
             ("acc", 1), // already convicted
             ("del", 2), // service violation path on a fresh session
             ("acc", 3),
+            ("del", 3),
+            ("acc", 3),
         ];
-        for gw in [&dfa, &reference] {
-            let (tx, _rx) = mpsc::channel();
-            for &(name, session) in script {
-                let frame = gw
-                    .codec()
-                    .event_frame(session, protoquot_spec::EventId::new(name))
-                    .unwrap();
-                let tx = tx.clone();
-                gw.submit(
-                    frame,
-                    Box::new(move |reply| {
-                        let _ = tx.send(reply);
-                    }),
-                );
-            }
-            gw.drain();
+        let frame = |gw: &Gateway, name: &str, session| {
+            gw.codec()
+                .event_frame(session, protoquot_spec::EventId::new(name))
+                .unwrap()
+        };
+        let (tx, rx) = mpsc::channel();
+        for &(name, session) in script {
+            let tx = tx.clone();
+            queued.submit(
+                frame(&queued, name, session),
+                Box::new(move |reply| {
+                    let _ = tx.send(reply);
+                }),
+            );
         }
-        let (a, b) = (dfa.stats(), reference.stats());
+        drop(tx);
+        queued.drain();
+        let mut got: HashMap<u64, Vec<Reply>> = HashMap::new();
+        for reply in rx {
+            got.entry(reply.session()).or_default().push(reply);
+        }
+        let mut want: HashMap<u64, Vec<Reply>> = HashMap::new();
+        for &(name, session) in script {
+            let reply = lockstep.call(frame(&lockstep, name, session));
+            want.entry(session).or_default().push(reply);
+        }
+        lockstep.drain();
+        assert_eq!(got, want);
+        let (a, b) = (queued.stats(), lockstep.stats());
+        assert_eq!(a.frames, b.frames);
         assert_eq!(a.accepted, b.accepted);
         assert_eq!(a.convictions, b.convictions);
         assert_eq!(a.rejects, b.rejects);
+        assert_eq!(a.per_event, b.per_event);
     }
 
     /// A behaviourally identical implementation with renamed states:

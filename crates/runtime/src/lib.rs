@@ -13,16 +13,18 @@
 //!   `B ‖ C`, service trace inclusion (ψ-hub), and sink-acceptance
 //!   progress containment, **determinized at build time** into a DFA
 //!   over `(composite-subset, ψ-hub)` pairs so the per-frame check is
-//!   one transition-table row; the subset-replaying interpreter is
-//!   retained as the differential oracle;
-//! * [`gateway`] — a sharded, session-multiplexed relay: striped
-//!   session table, per-session bounded queues drained by a worker
-//!   pool, backpressure, idle eviction, graceful drain; transports
-//!   hand it whole readiness batches via [`Gateway::call_batch`] —
-//!   one shard lookup, one session lock, and one contiguous guard-DFA
-//!   run per session per batch, replies encoded zero-copy into the
-//!   caller's outbound buffer (the per-frame [`Gateway::call`] path
-//!   is kept as the differential oracle);
+//!   one transition-table row; the subset-replaying interpreter
+//!   ([`SessionGuardReference`]) is never served, only kept as the
+//!   differential oracle;
+//! * [`gateway`] — a sharded, session-multiplexed relay with one guard
+//!   (the DFA) and one transport dispatch path: every transport hands
+//!   it whole readiness batches via [`Gateway::call_batch`] — one shard
+//!   lookup, one session lock, and one contiguous guard-DFA run per
+//!   session per batch, replies encoded zero-copy into the caller's
+//!   outbound buffer. The per-frame [`Gateway::call`] is the batch
+//!   path's differential oracle; [`Gateway::submit`] queues frames for
+//!   a worker pool with bounded per-session queues and backpressure.
+//!   Idle eviction and graceful drain cover both;
 //! * [`transport`] — carriers of the same bytes: in-memory loopback,
 //!   blocking thread-per-connection TCP ([`TcpServer`], kept as the
 //!   differential oracle), and a non-blocking epoll reactor

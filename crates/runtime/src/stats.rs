@@ -696,6 +696,72 @@ impl std::fmt::Display for StatsSnapshot {
 mod tests {
     use super::*;
     use protoquot_spec::{Alphabet, EventId};
+    use std::collections::BTreeSet;
+
+    /// Snapshot objects keyed by data — reject reason, eviction cause,
+    /// batch-size bucket, event name, version — rather than by schema;
+    /// the operator guide documents each as a single row.
+    const NAME_KEYED: [&str; 5] = [
+        "connections.evictions",
+        "rejects",
+        "batching.sizes",
+        "per_event",
+        "registry.sessions",
+    ];
+
+    /// Collects the dotted key of every schema leaf under `value`.
+    fn dotted_keys(prefix: &str, value: &Value, out: &mut BTreeSet<String>) {
+        match value {
+            Value::Obj(map) if !NAME_KEYED.contains(&prefix) => {
+                for (key, child) in map {
+                    let dotted = if prefix.is_empty() {
+                        key.clone()
+                    } else {
+                        format!("{prefix}.{key}")
+                    };
+                    dotted_keys(&dotted, child, out);
+                }
+            }
+            _ => {
+                out.insert(prefix.to_string());
+            }
+        }
+    }
+
+    /// The "`RuntimeStats` JSON, field by field" table of
+    /// `docs/RUNTIME.md` lists exactly the keys `to_value` emits.
+    #[test]
+    fn runtime_md_documents_every_snapshot_field() {
+        let guide = include_str!("../../../docs/RUNTIME.md");
+        let section = guide
+            .split("\n## ")
+            .find(|s| s.starts_with("`RuntimeStats` JSON, field by field"))
+            .expect("RUNTIME.md has the RuntimeStats field table");
+        let documented: BTreeSet<String> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `"))
+            .flat_map(|row| {
+                let first_cell = row.split(" |").next().unwrap_or_default();
+                format!("`{first_cell}")
+                    .split('`')
+                    .skip(1)
+                    .step_by(2)
+                    .map(str::to_string)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let table = EventTable::new(&Alphabet::from_names(["acc", "del"]));
+        let mut emitted = BTreeSet::new();
+        dotted_keys(
+            "",
+            &RuntimeStats::new(table.len()).snapshot(&table).to_value(),
+            &mut emitted,
+        );
+        assert_eq!(
+            documented, emitted,
+            "docs/RUNTIME.md's field table drifted from StatsSnapshot::to_value"
+        );
+    }
 
     #[test]
     fn counters_round_trip_into_snapshots() {

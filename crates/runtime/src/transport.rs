@@ -27,11 +27,11 @@
 //! listener and hands accepted connections round-robin to all loops
 //! through per-loop inboxes, waking the target loop. Per readiness
 //! wakeup a loop reads everything the socket has, feeds a
-//! [`FrameBuffer`], and submits every complete frame to the gateway;
-//! replies are encoded by whichever gateway worker finished the frame
-//! into the connection's shared outbound buffer, and the owning loop
-//! is woken to flush it. `EPOLLOUT` interest is registered only while
-//! flushed-behind bytes remain, and a connection whose outbound buffer
+//! [`FrameBuffer`], and runs every complete frame through
+//! [`Gateway::call_batch`], which encodes the replies straight into
+//! the connection's outbound buffer; the loop then flushes it once.
+//! `EPOLLOUT` interest is registered only while flushed-behind bytes
+//! remain, and a connection whose outbound buffer
 //! outgrows [`ReactorConfig::outbuf_cap`] (a client that stopped
 //! reading) is dropped as a counted
 //! [`ConnEvictReason::SlowConsumer`] eviction rather than buffered
@@ -171,6 +171,59 @@ impl ConnSessions {
                 Err(reason) => Gate::Reply(gateway.transport_reject(frame.session(), reason)),
             },
         }
+    }
+}
+
+/// Per-connection dispatch state, shared by both socket servers: the
+/// connection gate plus the batch buffers reused across reads.
+#[derive(Default)]
+struct ConnDispatch {
+    sessions: ConnSessions,
+    /// Frames decoded from the current read, in arrival order.
+    batch: Vec<Frame>,
+    /// Admitted run being accumulated for [`Gateway::call_batch`].
+    admitted: Vec<Frame>,
+    /// Session-grouping scratch for [`Gateway::call_batch`].
+    scratch: BatchScratch,
+}
+
+impl ConnDispatch {
+    /// Gates every frame of `batch` and runs the admitted runs through
+    /// [`Gateway::call_batch`], appending every reply to `out`; frames
+    /// of an already queued session go to `slow`. Empties `batch`.
+    /// Returns `false` when the connection must be cut (hello
+    /// negotiation refused); the refusal reply is already in `out`.
+    fn run(
+        &mut self,
+        gateway: &Gateway,
+        limits: &ConnLimits,
+        out: &mut Vec<u8>,
+        slow: &mut dyn FnMut(Frame),
+    ) -> bool {
+        let mut keep = true;
+        for &frame in &self.batch {
+            let (reply, cut) = match self.sessions.gate(gateway, &frame, limits) {
+                Gate::Forward => {
+                    self.admitted.push(frame);
+                    continue;
+                }
+                Gate::Reply(reply) => (reply, false),
+                Gate::Refuse(reply) => (reply, true),
+            };
+            // Dispatch the admitted run first so a bounced session's
+            // earlier replies keep their order.
+            gateway.call_batch(&self.admitted, &mut self.scratch, out, slow);
+            self.admitted.clear();
+            encode_reply(&reply, out);
+            if cut {
+                keep = false;
+                break;
+            }
+        }
+        gateway.call_batch(&self.admitted, &mut self.scratch, out, slow);
+        self.admitted.clear();
+        self.batch.clear();
+        keep
     }
 }
 
@@ -345,14 +398,13 @@ impl Drop for TcpServer {
 /// Reads are batched: every socket wakeup pulls whatever bytes are
 /// available into a [`FrameBuffer`] and processes *all* complete frames
 /// it holds, so pipelined clients pay one read syscall for a whole
-/// burst of frames. When the gateway has batching enabled the burst
-/// goes through [`Gateway::call_batch`] — replies for the whole chunk
-/// are encoded into one reusable buffer and written with a single
-/// locked `write_all`; otherwise each frame is submitted individually.
-/// Partial frames stay buffered across reads; an EOF that strands one
-/// is reported as a torn stream, never silently dropped. Cuts that
-/// evict an abusive peer (garbage, torn stream, slow drip) are
-/// attributed in the gateway stats per [`ConnEvictReason`].
+/// burst of frames. The burst goes through [`Gateway::call_batch`] —
+/// replies for the whole chunk are encoded into one reusable buffer
+/// and written with a single locked `write_all`. Partial frames stay
+/// buffered across reads; an EOF that strands one is reported as a
+/// torn stream, never silently dropped. Cuts that evict an abusive
+/// peer (garbage, torn stream, slow drip) are attributed in the
+/// gateway stats per [`ConnEvictReason`].
 fn serve_connection(
     gateway: &Gateway,
     stream: TcpStream,
@@ -364,13 +416,8 @@ fn serve_connection(
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
     let mut reader = stream;
     let mut frames = FrameBuffer::new();
-    let mut sessions = ConnSessions::default();
+    let mut dispatch = ConnDispatch::default();
     let mut chunk = [0u8; 16 * 1024];
-    let batching = gateway.batching_enabled();
-    // Batch-path scratch, reused across read wakeups.
-    let mut batch: Vec<Frame> = Vec::new();
-    let mut admitted: Vec<Frame> = Vec::new();
-    let mut scratch = BatchScratch::new();
     let mut out: Vec<u8> = Vec::new();
     // First byte of an unfinished message, for the read deadline.
     let mut mid_since: Option<Instant> = None;
@@ -407,111 +454,48 @@ fn serve_connection(
             Err(e) => return Err(e),
         };
         frames.extend(&chunk[..got]);
-        if batching {
-            gateway.runtime_stats().note_bytes_in(got);
-            // Decode everything first; frames decoded before any wire
-            // damage are still answered, matching the per-frame path.
-            batch.clear();
-            let mut wire_err = None;
-            loop {
-                match frames.next_frame() {
-                    Ok(Some(frame)) => batch.push(frame),
-                    Ok(None) => break,
-                    Err(e) => {
-                        wire_err = Some(e);
-                        break;
-                    }
+        gateway.runtime_stats().note_bytes_in(got);
+        // Decode everything first; frames decoded before any wire
+        // damage are still answered, as on the reactor.
+        let mut wire_err = None;
+        loop {
+            match frames.next_frame() {
+                Ok(Some(frame)) => dispatch.batch.push(frame),
+                Ok(None) => break,
+                Err(e) => {
+                    wire_err = Some(e);
+                    break;
                 }
             }
-            out.clear();
-            let mut slow = |frame: Frame| {
-                let writer = Arc::clone(&writer);
-                gateway.submit(
-                    frame,
-                    Box::new(move |reply| {
-                        let mut w = writer.lock().unwrap();
-                        let _ = write_reply(&mut *w, &reply);
-                    }),
-                );
-            };
-            admitted.clear();
-            let mut refused = false;
-            for &frame in &batch {
-                match sessions.gate(gateway, &frame, &limits) {
-                    Gate::Forward => admitted.push(frame),
-                    Gate::Reply(reply) => {
-                        // Flush the admitted run first so a bounced
-                        // session's earlier replies keep their order.
-                        gateway.call_batch(&admitted, &mut scratch, &mut out, &mut slow);
-                        admitted.clear();
-                        encode_reply(&reply, &mut out);
-                    }
-                    Gate::Refuse(reply) => {
-                        gateway.call_batch(&admitted, &mut scratch, &mut out, &mut slow);
-                        admitted.clear();
-                        encode_reply(&reply, &mut out);
-                        refused = true;
-                        break;
-                    }
-                }
-            }
-            gateway.call_batch(&admitted, &mut scratch, &mut out, &mut slow);
-            admitted.clear();
-            if !out.is_empty() {
-                let mut w = writer.lock().unwrap();
-                w.write_all(&out)?;
-                gateway.runtime_stats().note_bytes_out(out.len());
-            }
-            if refused {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    "connection refused at hello negotiation",
-                ));
-            }
-            if let Some(e) = wire_err {
-                gateway
-                    .runtime_stats()
-                    .note_conn_evict(ConnEvictReason::Protocol);
-                return Err(e.into());
-            }
-        } else {
-            loop {
-                match frames.next_frame() {
-                    Ok(Some(frame)) => {
-                        match sessions.gate(gateway, &frame, &limits) {
-                            Gate::Forward => {}
-                            Gate::Reply(reply) => {
-                                let mut w = writer.lock().unwrap();
-                                let _ = write_reply(&mut *w, &reply);
-                                continue;
-                            }
-                            Gate::Refuse(reply) => {
-                                let mut w = writer.lock().unwrap();
-                                let _ = write_reply(&mut *w, &reply);
-                                return Err(io::Error::new(
-                                    io::ErrorKind::ConnectionRefused,
-                                    "connection refused at hello negotiation",
-                                ));
-                            }
-                        }
-                        let writer = Arc::clone(&writer);
-                        gateway.submit(
-                            frame,
-                            Box::new(move |reply| {
-                                let mut w = writer.lock().unwrap();
-                                let _ = write_reply(&mut *w, &reply);
-                            }),
-                        );
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        gateway
-                            .runtime_stats()
-                            .note_conn_evict(ConnEvictReason::Protocol);
-                        return Err(e.into());
-                    }
-                }
-            }
+        }
+        out.clear();
+        let mut slow = |frame: Frame| {
+            let writer = Arc::clone(&writer);
+            gateway.submit(
+                frame,
+                Box::new(move |reply| {
+                    let mut w = writer.lock().unwrap();
+                    let _ = write_reply(&mut *w, &reply);
+                }),
+            );
+        };
+        let refused = !dispatch.run(gateway, &limits, &mut out, &mut slow);
+        if !out.is_empty() {
+            let mut w = writer.lock().unwrap();
+            w.write_all(&out)?;
+            gateway.runtime_stats().note_bytes_out(out.len());
+        }
+        if refused {
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionRefused,
+                "connection refused at hello negotiation",
+            ));
+        }
+        if let Some(e) = wire_err {
+            gateway
+                .runtime_stats()
+                .note_conn_evict(ConnEvictReason::Protocol);
+            return Err(e.into());
         }
         // The deadline clock starts when a message is left unfinished
         // and is *not* reset by later partial progress: a drip client
@@ -618,18 +602,11 @@ struct ReactorConn {
     out: Arc<Mutex<OutBuf>>,
     /// Whether the registration currently includes `EPOLLOUT`.
     write_interest: bool,
-    /// Live sessions on this connection, for the per-connection cap.
-    sessions: ConnSessions,
+    /// Session gate and batch buffers of this connection.
+    dispatch: ConnDispatch,
     /// First byte of an unfinished inbound message, for the read
     /// deadline sweep.
     mid_since: Option<Instant>,
-    /// Frames decoded from the current readiness event, reused across
-    /// events (batched path only).
-    batch: Vec<Frame>,
-    /// Admitted run being accumulated for [`Gateway::call_batch`].
-    admitted: Vec<Frame>,
-    /// Session-grouping scratch for [`Gateway::call_batch`].
-    scratch: BatchScratch,
 }
 
 /// A non-blocking TCP acceptor in front of a gateway: all connections
@@ -913,21 +890,17 @@ fn register_conn(
             frames: FrameBuffer::new(),
             out: Arc::new(Mutex::new(OutBuf::default())),
             write_interest: false,
-            sessions: ConnSessions::default(),
+            dispatch: ConnDispatch::default(),
             mid_since: None,
-            batch: Vec::new(),
-            admitted: Vec::new(),
-            scratch: BatchScratch::new(),
         },
     );
 }
 
 /// Drains the socket's readable bytes into the connection's
-/// [`FrameBuffer`] and processes every complete frame — through
-/// [`Gateway::call_batch`] when batching is enabled, per-frame
-/// `submit` otherwise. Returns `false` when the connection is finished
-/// (EOF, error, or protocol damage); frames decoded before the damage
-/// are still answered either way.
+/// [`FrameBuffer`] and processes every complete frame through
+/// [`Gateway::call_batch`]. Returns `false` when the connection is
+/// finished (EOF, error, or protocol damage); frames decoded before the
+/// damage are still answered either way.
 fn read_conn(
     gateway: &Gateway,
     shared: &Arc<LoopShared>,
@@ -936,19 +909,30 @@ fn read_conn(
     chunk: &mut [u8],
     cfg: &ReactorConfig,
 ) -> bool {
-    if !gateway.batching_enabled() {
-        return read_conn_per_frame(gateway, shared, token, conn, chunk, cfg);
+    let keep = read_into_batch(gateway, conn, chunk);
+    if conn.dispatch.batch.is_empty() {
+        return keep;
     }
-    let mut keep = read_into_batch(gateway, conn, chunk);
-    if !conn.batch.is_empty() {
-        keep = process_batch(gateway, shared, token, conn, cfg) && keep;
-        conn.batch.clear();
-    }
-    keep
+    let out = &conn.out;
+    let mut slow = |frame: Frame| {
+        let out = Arc::clone(out);
+        let shared = Arc::clone(shared);
+        gateway.submit(
+            frame,
+            Box::new(move |reply| {
+                encode_reply(&reply, &mut out.lock().unwrap().buf);
+                shared.request_flush(token.0);
+            }),
+        );
+    };
+    let mut ob = out.lock().unwrap();
+    conn.dispatch
+        .run(gateway, &cfg.limits, &mut ob.buf, &mut slow)
+        && keep
 }
 
-/// Batched read half: pulls bounded chunks into the frame buffer and
-/// decodes complete frames into `conn.batch` without touching the
+/// Read half: pulls bounded chunks into the frame buffer and decodes
+/// complete frames into the dispatch batch without touching the
 /// gateway. Returns whether the connection stays registered.
 fn read_into_batch(gateway: &Gateway, conn: &mut ReactorConn, chunk: &mut [u8]) -> bool {
     // Bounded work per readiness event. A peer that writes continuously
@@ -980,7 +964,7 @@ fn read_into_batch(gateway: &Gateway, conn: &mut ReactorConn, chunk: &mut [u8]) 
                 conn.frames.extend(&chunk[..n]);
                 loop {
                     match conn.frames.next_frame() {
-                        Ok(Some(frame)) => conn.batch.push(frame),
+                        Ok(Some(frame)) => conn.dispatch.batch.push(frame),
                         Ok(None) => break,
                         // Adversarial or corrupt input: cut the
                         // connection, exactly like the blocking server.
@@ -997,142 +981,6 @@ fn read_into_batch(gateway: &Gateway, conn: &mut ReactorConn, chunk: &mut [u8]) 
                 // if it lingers past the read deadline. Partial
                 // progress does not reset the clock — that would let a
                 // dripper stay alive one byte at a time.
-                if conn.frames.is_mid_message() {
-                    conn.mid_since.get_or_insert_with(Instant::now);
-                } else {
-                    conn.mid_since = None;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Runs one readiness event's decoded frames through
-/// [`Gateway::call_batch`] under a single outbound-buffer lock: one
-/// session-grouped DFA pass, inline replies appended straight to the
-/// buffer, contended sessions forwarded to the worker queue with the
-/// classic responder. The caller flushes once afterwards — inline
-/// replies never pay the waker round-trip. Returns `false` when the
-/// connection must be cut (hello negotiation refused); the refusal
-/// reply is already in the outbound buffer.
-fn process_batch(
-    gateway: &Gateway,
-    shared: &Arc<LoopShared>,
-    token: Token,
-    conn: &mut ReactorConn,
-    cfg: &ReactorConfig,
-) -> bool {
-    let out = &conn.out;
-    let mut ob = out.lock().unwrap();
-    let mut slow = |frame: Frame| {
-        let out = Arc::clone(out);
-        let shared = Arc::clone(shared);
-        gateway.submit(
-            frame,
-            Box::new(move |reply| {
-                encode_reply(&reply, &mut out.lock().unwrap().buf);
-                shared.request_flush(token.0);
-            }),
-        );
-    };
-    conn.admitted.clear();
-    let mut keep = true;
-    for &frame in &conn.batch {
-        match conn.sessions.gate(gateway, &frame, &cfg.limits) {
-            Gate::Forward => conn.admitted.push(frame),
-            Gate::Reply(reply) => {
-                // Flush the admitted run first so a bounced session's
-                // earlier replies keep their order in the buffer.
-                gateway.call_batch(&conn.admitted, &mut conn.scratch, &mut ob.buf, &mut slow);
-                conn.admitted.clear();
-                encode_reply(&reply, &mut ob.buf);
-            }
-            Gate::Refuse(reply) => {
-                gateway.call_batch(&conn.admitted, &mut conn.scratch, &mut ob.buf, &mut slow);
-                conn.admitted.clear();
-                encode_reply(&reply, &mut ob.buf);
-                keep = false;
-                break;
-            }
-        }
-    }
-    gateway.call_batch(&conn.admitted, &mut conn.scratch, &mut ob.buf, &mut slow);
-    conn.admitted.clear();
-    keep
-}
-
-/// Per-frame fallback ([`GatewayConfig::batching`] off): every decoded
-/// frame is submitted individually and every reply pays a responder
-/// and a flush wakeup. Kept as the differential oracle for the batched
-/// path.
-///
-/// [`GatewayConfig::batching`]: crate::gateway::GatewayConfig::batching
-fn read_conn_per_frame(
-    gateway: &Gateway,
-    shared: &Arc<LoopShared>,
-    token: Token,
-    conn: &mut ReactorConn,
-    chunk: &mut [u8],
-    cfg: &ReactorConfig,
-) -> bool {
-    let mut reads = 0usize;
-    loop {
-        if reads == MAX_READS_PER_EVENT {
-            return true;
-        }
-        reads += 1;
-        match conn.stream.read(chunk) {
-            Ok(0) => {
-                if conn.frames.is_mid_message() {
-                    gateway
-                        .runtime_stats()
-                        .note_conn_evict(ConnEvictReason::Protocol);
-                }
-                return false;
-            }
-            Ok(n) => {
-                gateway.runtime_stats().note_bytes_in(n);
-                conn.frames.extend(&chunk[..n]);
-                loop {
-                    match conn.frames.next_frame() {
-                        Ok(Some(frame)) => {
-                            match conn.sessions.gate(gateway, &frame, &cfg.limits) {
-                                Gate::Forward => {}
-                                Gate::Reply(reply) => {
-                                    encode_reply(&reply, &mut conn.out.lock().unwrap().buf);
-                                    shared.request_flush(token.0);
-                                    continue;
-                                }
-                                Gate::Refuse(reply) => {
-                                    // The cut's refusal reply still
-                                    // goes out: the event loop flushes
-                                    // once before dropping the conn.
-                                    encode_reply(&reply, &mut conn.out.lock().unwrap().buf);
-                                    return false;
-                                }
-                            }
-                            let out = Arc::clone(&conn.out);
-                            let shared = Arc::clone(shared);
-                            gateway.submit(
-                                frame,
-                                Box::new(move |reply| {
-                                    encode_reply(&reply, &mut out.lock().unwrap().buf);
-                                    shared.request_flush(token.0);
-                                }),
-                            );
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            gateway
-                                .runtime_stats()
-                                .note_conn_evict(ConnEvictReason::Protocol);
-                            return false;
-                        }
-                    }
-                }
                 if conn.frames.is_mid_message() {
                     conn.mid_since.get_or_insert_with(Instant::now);
                 } else {
@@ -1362,19 +1210,17 @@ impl MuxTransport for MuxClient {
 }
 
 /// In-process [`MuxTransport`]: frames go through the real encoder and
-/// decoder; with batching enabled they accumulate until
-/// [`MuxTransport::exchange`] runs the whole burst through
-/// [`Gateway::call_batch`] and decodes the inline reply bytes from a
-/// reused wire buffer, otherwise each frame goes straight into
-/// [`Gateway::submit`]. Slow-path replies round-trip the wire format
-/// (stack-encoded, no per-reply allocation) into a condvar-guarded
-/// queue the exchange drains. The differential twin of [`MuxClient`]
-/// for socket-free tests and benchmarks.
+/// decoder and accumulate until [`MuxTransport::exchange`] runs the
+/// whole burst through [`Gateway::call_batch`] and decodes the inline
+/// reply bytes from a reused wire buffer. Slow-path replies round-trip
+/// the wire format (stack-encoded, no per-reply allocation) into a
+/// condvar-guarded queue the exchange drains. The differential twin of
+/// [`MuxClient`] for socket-free tests and benchmarks.
 pub struct LoopbackMux {
     gateway: Gateway,
     pending: Arc<(Mutex<Vec<Reply>>, Condvar)>,
     buf: Vec<u8>,
-    /// Decoded frames awaiting the next exchange (batched path only).
+    /// Decoded frames awaiting the next exchange.
     queued: Vec<Frame>,
     /// Session-grouping scratch for [`Gateway::call_batch`].
     scratch: BatchScratch,
@@ -1399,33 +1245,11 @@ impl LoopbackMux {
     }
 }
 
-/// The slow-path responder both loopback-mux paths share: round-trips
-/// the reply through the stack wire encoder into the pending queue.
-fn loopback_mux_responder(
-    pending: &Arc<(Mutex<Vec<Reply>>, Condvar)>,
-) -> Box<dyn FnOnce(Reply) + Send + 'static> {
-    let pending = Arc::clone(pending);
-    Box::new(move |reply| {
-        let (wire, len) = encode_reply_array(&reply);
-        if let Ok(reply) = decode_reply(&wire[4..len]) {
-            let (lock, cv) = &*pending;
-            lock.lock().unwrap().push(reply);
-            cv.notify_one();
-        }
-    })
-}
-
 impl MuxTransport for LoopbackMux {
     fn queue(&mut self, frame: &Frame) -> io::Result<()> {
         self.buf.clear();
         encode_frame(frame, &mut self.buf);
-        let decoded = decode_frame(&self.buf[4..])?;
-        if self.gateway.batching_enabled() {
-            self.queued.push(decoded);
-            return Ok(());
-        }
-        self.gateway
-            .submit(decoded, loopback_mux_responder(&self.pending));
+        self.queued.push(decode_frame(&self.buf[4..])?);
         Ok(())
     }
 
@@ -1436,7 +1260,18 @@ impl MuxTransport for LoopbackMux {
             let gateway = &self.gateway;
             let pending = &self.pending;
             let mut slow = |frame: Frame| {
-                gateway.submit(frame, loopback_mux_responder(pending));
+                let pending = Arc::clone(pending);
+                gateway.submit(
+                    frame,
+                    Box::new(move |reply| {
+                        let (wire, len) = encode_reply_array(&reply);
+                        if let Ok(reply) = decode_reply(&wire[4..len]) {
+                            let (lock, cv) = &*pending;
+                            lock.lock().unwrap().push(reply);
+                            cv.notify_one();
+                        }
+                    }),
+                );
             };
             gateway.call_batch(&self.queued, &mut self.scratch, &mut self.wire, &mut slow);
             self.queued.clear();

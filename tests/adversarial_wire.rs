@@ -20,7 +20,10 @@
 //! 4. **The adversarial campaign is transport-invariant** — the full
 //!    `drive --adversarial` battery against identically configured
 //!    blocking and reactor servers must produce byte-identical report
-//!    JSON, with every attack neutralized.
+//!    JSON, with every attack neutralized, and leave counters that obey
+//!    the stats conservation laws with no frame ever queued.
+
+mod common;
 
 use protoquot_core::solve;
 use protoquot_protocols::{colocated_configuration, exactly_once};
@@ -471,15 +474,16 @@ fn adversarial_report_is_transport_invariant() {
         ..AdversarialConfig::default()
     };
 
-    let gw = gateway(&components, &service, GatewayConfig::default());
-    let mut blocking = TcpServer::bind_with(gw.clone(), "127.0.0.1:0", limits).expect("bind");
+    let blocking_gw = gateway(&components, &service, GatewayConfig::default());
+    let mut blocking =
+        TcpServer::bind_with(blocking_gw.clone(), "127.0.0.1:0", limits).expect("bind");
     let blocking_report =
         adversarial(blocking.local_addr(), &cfg).expect("campaign over blocking transport");
     blocking.stop();
 
-    let gw = gateway(&components, &service, GatewayConfig::default());
+    let reactor_gw = gateway(&components, &service, GatewayConfig::default());
     let mut reactor = ReactorServer::bind(
-        gw.clone(),
+        reactor_gw.clone(),
         "127.0.0.1:0",
         ReactorConfig {
             loops: 2,
@@ -505,4 +509,9 @@ fn adversarial_report_is_transport_invariant() {
         reactor_report.to_json(),
         "adversarial report depends on the transport:\nblocking: {blocking_report}\nreactor: {reactor_report}"
     );
+    for (label, gw) in [("blocking", &blocking_gw), ("reactor", &reactor_gw)] {
+        let snap = gw.stats();
+        common::assert_stats_conserved(label, &snap);
+        common::assert_never_queued(label, &snap);
+    }
 }

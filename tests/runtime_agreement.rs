@@ -11,7 +11,12 @@
 //!   identical across thread counts;
 //! * every single-transition converter mutant is convicted by the
 //!   online guard exactly when the static checker rejects it, across
-//!   all builtin configurations.
+//!   all builtin configurations;
+//! * the shipped DFA guard answers every frame of a campaign the way
+//!   the subset-replaying [`SessionGuardReference`] does, and the
+//!   batched dispatch path reports what per-frame dispatch reports.
+
+mod common;
 
 use protoquot_core::{converter_verdict, solve};
 use protoquot_protocols::nak::ab_to_nak_configuration;
@@ -20,8 +25,9 @@ use protoquot_protocols::{
     symmetric_configuration, RandomParams,
 };
 use protoquot_runtime::{
-    drive, drive_mux, Conn, DriveConfig, DriveReport, Frame, Gateway, GatewayConfig, GuardProgram,
-    LoopbackConn, LoopbackMux, MuxTransport, Reply, SessionGuard, SessionGuardReference, WireCodec,
+    drive, drive_mux, Conn, Conviction, DriveConfig, DriveReport, Frame, Gateway, GatewayConfig,
+    GuardProgram, LoopbackConn, LoopbackMux, MuxTransport, RejectReason, Reply, SessionGuard,
+    SessionGuardReference,
 };
 use protoquot_sim::{redirect_transition, FaultPlan};
 use protoquot_spec::{compose_all, has_trace, Alphabet, EventId, Spec, SpecBuilder};
@@ -43,64 +49,89 @@ fn config(threads: usize) -> DriveConfig {
     }
 }
 
-type TraceLog = Arc<Mutex<HashMap<u64, Vec<EventId>>>>;
+/// Every event and stall frame each session sent, with its reply.
+type FrameLog = HashMap<u64, Vec<(Frame, Reply)>>;
 
-/// A loopback connection that records, per session, the event prefix
-/// the gateway *accepted* — the runtime's observable language.
+/// A loopback connection that records, per session, every event and
+/// stall frame together with the gateway's reply.
 struct RecordingConn {
     inner: LoopbackConn,
-    codec: WireCodec,
-    log: TraceLog,
+    log: Arc<Mutex<FrameLog>>,
 }
 
 impl Conn for RecordingConn {
     fn call(&mut self, frame: &Frame) -> io::Result<Reply> {
         let reply = self.inner.call(frame)?;
-        if let (Frame::Event { session, event }, Reply::Accepted { .. }) = (frame, &reply) {
-            let e = self.codec.event_of(*event).expect("accepted unknown index");
+        if let Frame::Event { session, .. } | Frame::Stall { session } = *frame {
             self.log
                 .lock()
                 .unwrap()
-                .entry(*session)
+                .entry(session)
                 .or_default()
-                .push(e);
+                .push((*frame, reply));
         }
         Ok(reply)
     }
 }
 
-/// One drive campaign against a fresh gateway with `threads` workers
-/// (server and client alike), returning the report and the accepted
-/// per-session prefixes.
-fn campaign(components: &[Spec], service: &Spec, threads: usize) -> (DriveReport, TraceLog) {
-    campaign_with(components, service, threads, false)
+/// One finished lockstep campaign.
+struct Campaign {
+    report: DriveReport,
+    /// What every session sent and was answered.
+    log: FrameLog,
+    /// The compiled program the gateway served.
+    program: Arc<GuardProgram>,
 }
 
-/// Like [`campaign`], but selecting the gateway's guard implementation:
-/// the compiled DFA (`reference_guard: false`) or the subset-replaying
-/// oracle.
-fn campaign_with(
-    components: &[Spec],
-    service: &Spec,
-    threads: usize,
-    reference_guard: bool,
-) -> (DriveReport, TraceLog) {
+impl Campaign {
+    /// The event prefix the gateway accepted, per session — the
+    /// runtime's observable language.
+    fn accepted_traces(&self) -> HashMap<u64, Vec<EventId>> {
+        let table = self.program.table();
+        self.log
+            .iter()
+            .map(|(&session, frames)| {
+                let trace = frames
+                    .iter()
+                    .filter_map(|&(frame, reply)| match (frame, reply) {
+                        (Frame::Event { event, .. }, Reply::Accepted { .. }) => {
+                            Some(table.events[usize::from(event)])
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                (session, trace)
+            })
+            .collect()
+    }
+}
+
+/// Asserts the gateway's stats obey the conservation laws and that no
+/// frame was ever queued for a worker.
+fn assert_stats_sound(label: &str, gw: &Gateway) {
+    let snap = gw.stats();
+    common::assert_stats_conserved(label, &snap);
+    common::assert_never_queued(label, &snap);
+}
+
+/// One lockstep drive campaign — per-frame [`Gateway::call`] over
+/// [`LoopbackConn`] — against a fresh gateway with `threads` workers
+/// (server and client alike).
+fn campaign(components: &[Spec], service: &Spec, threads: usize) -> Campaign {
     let parts: Vec<&Spec> = components.iter().collect();
     let gw = Gateway::new(
         &parts,
         service,
         GatewayConfig {
             workers: threads,
-            reference_guard,
             ..GatewayConfig::default()
         },
     )
     .expect("gateway must compile the system");
-    let log: TraceLog = Arc::new(Mutex::new(HashMap::new()));
+    let log = Arc::new(Mutex::new(FrameLog::new()));
     let report = drive(components, service, &config(threads), || {
         Ok(Box::new(RecordingConn {
             inner: LoopbackConn::new(gw.clone()),
-            codec: gw.codec().clone(),
             log: Arc::clone(&log),
         }) as Box<dyn Conn>)
     });
@@ -110,7 +141,13 @@ fn campaign_with(
         report.convicted_runs,
         "gateway conviction counter disagrees with the drive report"
     );
-    (report, log)
+    assert_stats_sound("lockstep campaign", &gw);
+    let log = std::mem::take(&mut *log.lock().unwrap());
+    Campaign {
+        report,
+        log,
+        program: gw.program(),
+    }
 }
 
 /// Drives at 1 and 8 threads, asserts the reports are identical,
@@ -124,18 +161,18 @@ fn runtime_conforms(
     service: &Spec,
     expect_traffic: bool,
 ) -> bool {
-    let (one, log1) = campaign(components, service, 1);
-    let (eight, _log8) = campaign(components, service, 8);
+    let one = campaign(components, service, 1);
+    let eight = campaign(components, service, 8);
     assert_eq!(
-        one.to_json(),
-        eight.to_json(),
+        one.report.to_json(),
+        eight.report.to_json(),
         "{label}: drive report differs across thread counts"
     );
-    assert_eq!(one.io_errors, 0, "{label}: loopback cannot fail");
+    assert_eq!(one.report.io_errors, 0, "{label}: loopback cannot fail");
 
     let parts: Vec<&Spec> = components.iter().collect();
     let composite = compose_all(&parts).expect("composable system");
-    let log = log1.lock().unwrap();
+    let log = one.accepted_traces();
     if expect_traffic {
         assert!(
             log.values().any(|t| !t.is_empty()),
@@ -148,7 +185,7 @@ fn runtime_conforms(
             "{label}: session {session} accepted a non-trace of B‖C: {trace:?}"
         );
     }
-    one.convicted_runs == 0
+    one.report.convicted_runs == 0
 }
 
 /// The core differential check for one builtin configuration: derive
@@ -246,7 +283,7 @@ fn convictions_name_the_violation_kind() {
         {
             continue;
         }
-        let (report, _) = campaign(&[cfg.b.clone(), mutant], &service, 2);
+        let report = campaign(&[cfg.b.clone(), mutant], &service, 2).report;
         assert!(report.convicted_runs > 0, "mut{k}: expected convictions");
         for o in report.outcomes.iter().filter(|o| o.conviction.is_some()) {
             let reason = o.conviction.as_deref().unwrap();
@@ -479,21 +516,15 @@ fn dfa_and_reference_guards_agree_on_random_components() {
 }
 
 /// One multiplexed loopback campaign — the carrier that hands whole
-/// readiness batches to [`Gateway::call_batch`] — against a gateway
-/// with `threads` workers and batched dispatch on or off.
-fn mux_campaign(
-    components: &[Spec],
-    service: &Spec,
-    threads: usize,
-    batching: bool,
-) -> DriveReport {
+/// readiness batches to [`Gateway::call_batch`] — against a fresh
+/// gateway with `threads` workers.
+fn mux_campaign(components: &[Spec], service: &Spec, threads: usize) -> DriveReport {
     let parts: Vec<&Spec> = components.iter().collect();
     let gw = Gateway::new(
         &parts,
         service,
         GatewayConfig {
             workers: threads,
-            batching,
             ..GatewayConfig::default()
         },
     )
@@ -511,14 +542,16 @@ fn mux_campaign(
         report.convicted_runs,
         "gateway conviction counter disagrees with the drive report"
     );
+    assert_stats_sound("multiplexed campaign", &gw);
     report
 }
 
 /// Batched dispatch against its per-frame oracle at 1 and 8 workers:
-/// with `GatewayConfig::batching` off every frame takes the classic
-/// `submit` + boxed-responder path, yet fixed-seed multiplexed
-/// campaigns must stay byte-identical — for the derived converter and
-/// for a statically rejected mutant, so convictions carry over with
+/// the multiplexed [`LoopbackMux`] campaign runs every exchange through
+/// `call_batch`, the lockstep [`LoopbackConn`] campaign sends every
+/// frame through the per-frame `Gateway::call`, and the fixed-seed
+/// reports must be byte-identical — for the derived converter and for
+/// a statically rejected mutant, so convictions carry over with
 /// identical counts and reasons at every worker count.
 #[test]
 fn batched_campaigns_match_per_frame_campaigns() {
@@ -539,8 +572,8 @@ fn batched_campaigns_match_per_frame_campaigns() {
     {
         let components = [cfg.b.clone(), converter.clone()];
         for threads in [1usize, 8] {
-            let batched = mux_campaign(&components, &service, threads, true);
-            let per_frame = mux_campaign(&components, &service, threads, false);
+            let batched = mux_campaign(&components, &service, threads);
+            let per_frame = campaign(&components, &service, threads).report;
             assert_eq!(
                 batched.to_json(),
                 per_frame.to_json(),
@@ -561,11 +594,54 @@ fn batched_campaigns_match_per_frame_campaigns() {
     }
 }
 
-/// End-to-end gateway differential at 1 and 8 workers: the drive
-/// reports of a DFA-guarded gateway and a reference-guarded gateway
-/// must be byte-identical for the derived converter and for a
-/// statically rejected mutant of each builtin system — same runs, same
-/// convictions, same reject reasons, at every thread count.
+/// The reply the gateway owes a guard verdict: `Accepted`, the
+/// conviction's own reason the first time, `Convicted` after that.
+fn expected_reply(session: u64, verdict: Result<(), Conviction>, already_convicted: bool) -> Reply {
+    match verdict {
+        Ok(()) => Reply::Accepted { session },
+        Err(_) if already_convicted => Reply::Rejected {
+            session,
+            reason: RejectReason::Convicted,
+        },
+        Err(conviction) => Reply::Rejected {
+            session,
+            reason: conviction.reject_reason(),
+        },
+    }
+}
+
+/// Replays every session of `campaign` through a fresh
+/// [`SessionGuardReference`] and requires, frame for frame, the reply
+/// the DFA-guarded gateway gave. Returns how many frames were replayed.
+fn replay_through_reference(label: &str, campaign: &Campaign) -> usize {
+    let mut replayed = 0;
+    for (&session, frames) in &campaign.log {
+        let mut reference = SessionGuardReference::new(Arc::clone(&campaign.program));
+        for (pos, &(frame, reply)) in frames.iter().enumerate() {
+            let already = reference.convicted().is_some();
+            let verdict = match frame {
+                Frame::Event { event, .. } => reference.observe(event),
+                Frame::Stall { .. } => reference.attest_stall(),
+                other => unreachable!("only events and stalls are logged: {other:?}"),
+            };
+            assert_eq!(
+                reply,
+                expected_reply(session, verdict, already),
+                "{label}: session {session} frame {pos} ({frame:?}): the gateway \
+                 and the reference guard disagree"
+            );
+            replayed += 1;
+        }
+    }
+    replayed
+}
+
+/// End-to-end guard differential at 1 and 8 workers: every frame of a
+/// DFA-guarded campaign, replayed per session through the reference
+/// guard, earns the reply the gateway gave — the same accepts, the
+/// same first conviction reason, then `convicted` — for the derived
+/// converter and for a statically rejected mutant of each builtin
+/// system.
 #[test]
 fn reference_guard_campaigns_match_dfa_campaigns() {
     let systems: [(&str, Spec, Spec, Alphabet); 3] = {
@@ -595,12 +671,12 @@ fn reference_guard_campaigns_match_dfa_campaigns() {
         for (kind, converter) in &variants {
             let components = [b.clone(), converter.clone()];
             for threads in [1usize, 8] {
-                let (dfa_report, _) = campaign_with(&components, service, threads, false);
-                let (ref_report, _) = campaign_with(&components, service, threads, true);
-                assert_eq!(
-                    dfa_report.to_json(),
-                    ref_report.to_json(),
-                    "{label}/{kind}: DFA and reference gateways diverge at {threads} workers"
+                let run = campaign(&components, service, threads);
+                let replayed =
+                    replay_through_reference(&format!("{label}/{kind}/{threads}w"), &run);
+                assert!(
+                    replayed > 0,
+                    "{label}/{kind}: the campaign sent no frames at {threads} workers"
                 );
             }
         }
