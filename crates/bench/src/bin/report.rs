@@ -71,7 +71,7 @@ fn exp_w_verify_time() -> f64 {
 /// the in-process loopback transport with `threads` client threads and
 /// as many gateway workers, returning `(accepted_events_per_sec,
 /// frames_relayed)`. The gateway's online guard is live for every
-/// frame, so this measures the full codec → shard → guard path.
+/// frame, so this measures the full codec → session table → guard path.
 fn loopback_throughput(threads: usize, runs: u64) -> (f64, u64) {
     let cfg = protoquot_protocols::colocated_configuration();
     let service = exactly_once();
@@ -1086,9 +1086,9 @@ fn main() {
     println!("\n== EXP-R5: batched dispatch — reactor pump ==");
     {
         // The reactor mux pump at several client/session shapes: one
-        // shard lookup, one session lock, one contiguous guard-DFA run
-        // per session per readiness batch, replies coalesced into a
-        // single buffered write. Best of two runs per row.
+        // table lock per readiness batch, one session lookup and one
+        // guard-DFA step per frame, replies coalesced into a single
+        // buffered write. Best of two runs per row.
         println!(
             "{:>10} {:>10} {:>12} {:>14}",
             "clients", "sessions", "frames", "batched/s"

@@ -1020,7 +1020,8 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
          [--max-sessions-per-conn N] [--read-deadline SECS] \
          [--registry DIR [--control HOST:PORT]] [--require-hello]",
     )?;
-    let workers: usize = match p.value("--threads") {
+    // Threads that re-verify an artifact at registry admission.
+    let verify_threads: usize = match p.value("--threads") {
         Some(v) => v
             .parse()
             .map_err(|_| CliError("--threads must be a number".into()))?,
@@ -1058,7 +1059,6 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
     let duration = parse_duration(&p)?;
     let parts: Vec<&Spec> = components.iter().collect();
     let cfg = GatewayConfig {
-        workers,
         session_frame_budget: frame_budget,
         ..GatewayConfig::default()
     };
@@ -1070,7 +1070,7 @@ fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
     if let Some(dir) = p.value("--registry") {
         let registry = ConverterRegistry::open(dir, &service, gw.active_version())
             .map_err(|e| CliError(format!("cannot open registry `{dir}`: {e}")))?
-            .with_verify_threads(workers);
+            .with_verify_threads(verify_threads);
         if let Some(addr) = p.value("--control") {
             let c = ControlServer::bind(addr, registry, gw.clone())
                 .map_err(|e| CliError(format!("cannot bind control socket {addr}: {e}")))?;
@@ -1364,11 +1364,8 @@ fn cmd_drive(rest: &[String]) -> Result<String, CliError> {
         }
         (None, true) => {
             let parts: Vec<&Spec> = components.iter().collect();
-            let gw_cfg = GatewayConfig {
-                workers: cfg.threads.max(1),
-                ..GatewayConfig::default()
-            };
-            let gw = Gateway::new(&parts, &service, gw_cfg).map_err(|e| CliError(e.to_string()))?;
+            let gw = Gateway::new(&parts, &service, GatewayConfig::default())
+                .map_err(|e| CliError(e.to_string()))?;
             let report = if mux {
                 drive_mux(&components, &service, &cfg, || {
                     Ok(Box::new(LoopbackMux::new(gw.clone())) as Box<dyn MuxTransport>)

@@ -1,11 +1,12 @@
 //! Hostile load generation: `protoquot drive --adversarial`.
 //!
-//! Eight scripted attacks against a serving gateway's wire endpoint,
+//! Nine scripted attacks against a serving gateway's wire endpoint,
 //! every one a behavior the soak fleet can never produce (its faults
 //! are by construction genuine traces): garbage bytes, truncated
 //! length prefixes, out-of-range event indices, session floods,
-//! connection churn, slow-drip partial frames, backpressure abuse, and
-//! frames to closed sessions. The campaign asserts the runtime's
+//! connection churn, slow-drip partial frames, backpressure abuse,
+//! frames to closed sessions, and frames to another connection's
+//! session. The campaign asserts the runtime's
 //! convict-or-evict invariant from the *attacker's* seat: every
 //! abusive frame must end in a reply, a rejection, or a cut
 //! connection — never in a stall.
@@ -24,7 +25,7 @@
 //! Attacks use disjoint session-id ranges (1_000_000 apart) so their
 //! gateway-side footprints cannot interact.
 
-use crate::codec::{read_reply, Frame, Reply};
+use crate::codec::{read_reply, Frame, RejectReason, Reply};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -192,6 +193,10 @@ const CHURN_BASE: u64 = 3_000_000;
 const BACKPRESSURE_BASE: u64 = 4_000_000;
 const ZOMBIE_BASE: u64 = 5_000_000;
 const DRIP_BASE: u64 = 6_000_000;
+const HIJACK_BASE: u64 = 7_000_000;
+
+/// Longest victim trace the hijack attack looks for.
+const HIJACK_TRACE: usize = 3;
 
 /// Runs the full attack battery against the gateway serving at `addr`
 /// (blocking or reactor — the campaign cannot tell and the report must
@@ -208,7 +213,8 @@ pub fn adversarial<A: ToSocketAddrs + Clone>(
         churn(addr.clone(), cfg)?,
         slow_drip(addr.clone(), cfg)?,
         backpressure(addr.clone(), cfg)?,
-        zombie(addr, cfg)?,
+        zombie(addr.clone(), cfg)?,
+        session_hijack(addr, cfg)?,
     ];
     Ok(AdversarialReport { attacks })
 }
@@ -252,6 +258,17 @@ fn note_reply(out: &mut AttackOutcome, reply: &Reply) {
         // sends; counted in `replies` but classified as neither.
         Reply::HelloAck { .. } => {}
     }
+}
+
+/// Sends `frame` and waits for its reply lockstep, outside any
+/// outcome. A failed write is a cut.
+fn round_trip(stream: &mut TcpStream, frame: &Frame) -> ReadOutcome {
+    let mut bytes = Vec::with_capacity(16);
+    crate::codec::encode_frame(frame, &mut bytes);
+    if stream.write_all(&bytes).is_err() {
+        return ReadOutcome::Cut;
+    }
+    read_one(stream)
 }
 
 /// Sends `frame` and waits for its reply lockstep; returns `false`
@@ -472,10 +489,10 @@ fn slow_drip<A: ToSocketAddrs>(addr: A, cfg: &AdversarialConfig) -> io::Result<A
 
 /// Backpressure abuse: a burst of frames on one session without
 /// reading a single reply, then drain them all. Every frame must be
-/// answered. The socket servers answer a burst inline, so none of it
-/// bounces; a gateway that queued it could bounce part of it
-/// (`backpressure`) depending on worker scheduling, so this outcome
-/// reports totals only.
+/// answered. The socket servers answer a burst on the connection's own
+/// thread, so none of it bounces; a server that queued it could bounce
+/// part of it (`backpressure`) depending on scheduling, so this
+/// outcome reports totals only.
 fn backpressure<A: ToSocketAddrs>(addr: A, cfg: &AdversarialConfig) -> io::Result<AttackOutcome> {
     let mut out = AttackOutcome::new("backpressure");
     let mut stream = connect(addr, cfg)?;
@@ -539,5 +556,94 @@ fn zombie<A: ToSocketAddrs>(addr: A, cfg: &AdversarialConfig) -> io::Result<Atta
         }
     }
     out.neutralized = out.accepted == before && (out.replies == out.frames_sent || out.conn_cut);
+    Ok(out)
+}
+
+/// Finds an accepted trace of up to [`HIJACK_TRACE`] events without
+/// knowing the served specification: every candidate extension runs
+/// on a fresh session, closed afterwards, and candidates go up the
+/// event table until one is accepted or the index falls off the table
+/// (`unknown_event`). Deterministic for a given server.
+fn probe_trace(stream: &mut TcpStream) -> Vec<u16> {
+    let mut trace = Vec::new();
+    let mut session = HIJACK_BASE;
+    'extend: while trace.len() < HIJACK_TRACE {
+        for event in 0..=u16::MAX {
+            session += 1;
+            let candidate: Vec<u16> = trace.iter().copied().chain([event]).collect();
+            let mut last = None;
+            for e in candidate {
+                match round_trip(stream, &Frame::Event { session, event: e }) {
+                    ReadOutcome::Reply(reply) => last = Some(reply),
+                    _ => return trace,
+                }
+            }
+            if !matches!(
+                round_trip(stream, &Frame::Close { session }),
+                ReadOutcome::Reply(_)
+            ) {
+                return trace;
+            }
+            match last {
+                Some(Reply::Accepted { .. }) => {
+                    trace.push(event);
+                    continue 'extend;
+                }
+                Some(Reply::Rejected {
+                    reason: RejectReason::UnknownEvent,
+                    ..
+                }) => break 'extend,
+                _ => {}
+            }
+        }
+        break;
+    }
+    trace
+}
+
+/// Session hijack: a victim connection opens a session with the first
+/// event of an accepted trace; a second connection then names the same
+/// session id, sends the trace's next event and closes the session.
+/// Sessions belong to their connection, so the hijacker only ever
+/// reaches a session of its own: the attack is contained when the
+/// victim's whole trace is accepted.
+fn session_hijack<A: ToSocketAddrs + Clone>(
+    addr: A,
+    cfg: &AdversarialConfig,
+) -> io::Result<AttackOutcome> {
+    let mut out = AttackOutcome::new("session_hijack");
+    let mut victim = connect(addr.clone(), cfg)?;
+    let trace = probe_trace(&mut victim);
+    if trace.is_empty() {
+        // The server accepts no event at all: nothing to hijack.
+        out.neutralized = true;
+        return Ok(out);
+    }
+    let session = HIJACK_BASE;
+    let event = |i: usize| Frame::Event {
+        session,
+        event: trace[i % trace.len()],
+    };
+    let mut victim_accepted = 0;
+    let mut victim_step = |i: usize, out: &mut AttackOutcome| {
+        let before = out.accepted;
+        let ok = exchange(&mut victim, &event(i), out);
+        victim_accepted += out.accepted - before;
+        ok
+    };
+    if victim_step(0, &mut out) {
+        let mut hijacker = connect(addr, cfg)?;
+        if exchange(&mut hijacker, &event(1), &mut out) {
+            exchange(&mut hijacker, &Frame::Close { session }, &mut out);
+        }
+        for i in 1..trace.len() {
+            if !victim_step(i, &mut out) {
+                break;
+            }
+        }
+    }
+    // The victim's own Close is housekeeping.
+    let _ = exchange(&mut victim, &Frame::Close { session }, &mut out);
+    out.neutralized = victim_accepted == trace.len() as u64 && out.replies == out.frames_sent;
     Ok(out)
 }

@@ -906,6 +906,59 @@ mod tests {
     use protoquot_protocols::{colocated_configuration, exactly_once};
     use protoquot_sim::redirect_transition;
 
+    /// Collects the dotted key of every schema leaf under `value`; an
+    /// array of objects contributes the keys of its elements under its
+    /// own name.
+    fn dotted_keys(prefix: &str, value: &Value, out: &mut std::collections::BTreeSet<String>) {
+        let join = |key: &str| {
+            if prefix.is_empty() {
+                key.to_string()
+            } else {
+                format!("{prefix}.{key}")
+            }
+        };
+        match value {
+            Value::Obj(map) => {
+                for (key, child) in map {
+                    dotted_keys(&join(key), child, out);
+                }
+            }
+            Value::Arr(items) if matches!(items.first(), Some(Value::Obj(_))) => {
+                dotted_keys(prefix, &items[0], out);
+            }
+            _ => {
+                out.insert(prefix.to_string());
+            }
+        }
+    }
+
+    /// The "`DriveReport` JSON, field by field" tables of
+    /// `docs/RUNTIME.md` list exactly the keys `to_value` emits.
+    #[test]
+    fn runtime_md_documents_every_report_field() {
+        let guide = include_str!("../../../docs/RUNTIME.md");
+        let section = guide
+            .split("\n## ")
+            .find(|s| s.starts_with("`DriveReport` JSON, field by field"))
+            .expect("RUNTIME.md has the DriveReport field tables");
+        let documented: std::collections::BTreeSet<String> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `"))
+            .filter_map(|row| row.split('`').next())
+            .map(str::to_string)
+            .collect();
+        let mut emitted = std::collections::BTreeSet::new();
+        dotted_keys(
+            "",
+            &report_from(vec![empty_outcome(0)]).to_value(),
+            &mut emitted,
+        );
+        assert_eq!(
+            documented, emitted,
+            "docs/RUNTIME.md's DriveReport tables drifted from DriveReport::to_value"
+        );
+    }
+
     fn gateway(components: &[Spec], service: &Spec) -> Gateway {
         let parts: Vec<&Spec> = components.iter().collect();
         Gateway::new(&parts, service, GatewayConfig::default())

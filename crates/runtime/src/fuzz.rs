@@ -18,14 +18,17 @@
 //!   outside the event table; every step's verdict must agree.
 //! * **gateway** — the dispatch path under arbitrary frame programs
 //!   (events, stalls, closes, session reuse after close, tiny frame
-//!   budgets): every frame must produce exactly one reply carrying the
-//!   frame's session id, without panicking a worker or wedging the
-//!   pool.
+//!   budgets) on two connections' session tables at once, with the
+//!   same session ids: every frame must produce exactly one reply
+//!   carrying the frame's session id, and each connection's replies
+//!   must be the ones it gets running alone — neither table can change
+//!   what the other sees.
 //! * **batch** — [`Gateway::call_batch`] differentially against
 //!   per-frame [`Gateway::call`] on a second, identically configured
 //!   gateway: the same frame program, cut at an input-derived split
-//!   width, must produce the same per-session reply sequences and a
-//!   well-formed inline reply stream at every split.
+//!   width, must produce the same reply sequence and a well-formed
+//!   reply stream at every split, while a second table on the batched
+//!   gateway runs another program on the same session ids.
 //! * **artifact** — the [`CompiledArtifact`] loader on mutated,
 //!   truncated, and bit-flipped copies of a valid compiled artifact:
 //!   every mutation must decode to a clean [`ArtifactError`] or a
@@ -45,12 +48,12 @@ use crate::codec::{
     decode_frame, decode_reply, encode_frame, encode_reply, read_frame, read_reply, Frame,
     FrameBuffer, RejectReason, Reply, ReplyBuffer,
 };
-use crate::gateway::{BatchScratch, Gateway, GatewayConfig, GatewayError};
+use crate::gateway::{Gateway, GatewayConfig, GatewayError, SessionTable};
 use crate::guard::{GuardProgram, SessionGuard, SessionGuardReference};
 use protoquot_spec::Spec;
 use rand::prelude::*;
 use serde::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -277,14 +280,13 @@ pub fn fuzz(
     cfg: &FuzzConfig,
 ) -> Result<FuzzReport, GatewayError> {
     let prog = Arc::new(GuardProgram::new(parts, service).map_err(GatewayError::Spec)?);
+    // Every case opens its own session tables, and their sessions end
+    // with the case.
     let fuzz_gateway_cfg = GatewayConfig {
-        workers: 2,
-        // Evictable immediately: the campaign trims the session
-        // table between cases so the table stays small.
-        idle_timeout: Duration::ZERO,
         // A tiny budget so the fuzzer exercises the expulsion path
         // on ordinary inputs, not only on 1000-frame outliers.
         session_frame_budget: 24,
+        ..GatewayConfig::default()
     };
     let gateway = Gateway::new(parts, service, fuzz_gateway_cfg.clone())?;
     // The batch target's per-frame oracle: identical configuration,
@@ -302,7 +304,7 @@ pub fn fuzz(
         let mut executed = 0u64;
         for case in 0..cfg.iters {
             let input = gen_input(cfg, target, case);
-            let body = case_body(target, &prog, &gateway, &oracle, &artifact_base, case);
+            let body = case_body(target, &prog, &gateway, &oracle, &artifact_base);
             let verdict = harness.run(&input, &body, cfg.hang_timeout);
             executed += 1;
             if let Some(kind) = verdict {
@@ -317,10 +319,6 @@ pub fn fuzz(
                     kind,
                     input,
                 });
-            }
-            if matches!(target, FuzzTarget::Gateway | FuzzTarget::Batch) && case % 64 == 63 {
-                gateway.evict_idle();
-                oracle.evict_idle();
             }
         }
         report.executed.push((target, executed));
@@ -339,7 +337,6 @@ fn case_body(
     gateway: &Gateway,
     oracle: &Gateway,
     artifact_base: &Arc<Vec<u8>>,
-    case: u64,
 ) -> CaseBody {
     match target {
         FuzzTarget::Codec => Arc::new(codec_case),
@@ -349,16 +346,12 @@ fn case_body(
         }
         FuzzTarget::Gateway => {
             let gateway = gateway.clone();
-            // Distinct session range per case so cases cannot observe
-            // each other's session state.
-            let base = case.wrapping_mul(16);
-            Arc::new(move |input| gateway_case(&gateway, base, input))
+            Arc::new(move |input| gateway_case(&gateway, input))
         }
         FuzzTarget::Batch => {
             let gateway = gateway.clone();
             let oracle = oracle.clone();
-            let base = case.wrapping_mul(16);
-            Arc::new(move |input| batch_case(&gateway, &oracle, base, input))
+            Arc::new(move |input| batch_case(&gateway, &oracle, input))
         }
         FuzzTarget::Artifact => {
             let base = Arc::clone(artifact_base);
@@ -656,40 +649,67 @@ fn guard_case(prog: &Arc<GuardProgram>, input: &[u8]) -> Option<String> {
     None
 }
 
-/// Gateway target: an arbitrary frame program through the dispatch
-/// path; every frame must yield exactly one reply for its session.
-fn gateway_case(gateway: &Gateway, base_session: u64, input: &[u8]) -> Option<String> {
-    for op in input.chunks(3) {
-        let (kind, lo, hi) = (
-            op[0],
-            op.get(1).copied().unwrap_or(0),
-            op.get(2).copied().unwrap_or(0),
-        );
-        // Four local sessions per case, so closes and reuse collide.
-        let session = base_session + (kind >> 4) as u64 % 4;
-        let frame = match kind & 0x03 {
-            0 | 1 => Frame::Event {
-                session,
-                event: u16::from_be_bytes([lo, hi]),
-            },
-            2 => Frame::Stall { session },
-            _ => Frame::Close { session },
-        };
-        let reply = gateway.call(frame);
-        if reply.session() != session {
-            return Some(format!(
-                "reply session {} for frame session {session}",
-                reply.session()
-            ));
+/// Reads `input` as a frame program: one frame per three bytes, on four
+/// session ids so closes and reuse collide. `rotate` shifts every
+/// frame's kind, giving a second program on the same ids.
+fn frame_program(input: &[u8], rotate: u8) -> Vec<Frame> {
+    input
+        .chunks(3)
+        .map(|op| {
+            let (kind, lo, hi) = (
+                op[0],
+                op.get(1).copied().unwrap_or(0),
+                op.get(2).copied().unwrap_or(0),
+            );
+            let session = u64::from(kind >> 4) % 4;
+            match kind.wrapping_add(rotate) & 0x03 {
+                0 | 1 => Frame::Event {
+                    session,
+                    event: u16::from_be_bytes([lo, hi]),
+                },
+                2 => Frame::Stall { session },
+                _ => Frame::Close { session },
+            }
+        })
+        .collect()
+}
+
+/// Runs `program` alone on a fresh session table, per frame.
+fn run_alone(gateway: &Gateway, program: &[Frame]) -> Vec<Reply> {
+    let mut table = SessionTable::new();
+    program
+        .iter()
+        .map(|&f| gateway.call(&mut table, f))
+        .collect()
+}
+
+/// Gateway target: two connections run different frame programs on
+/// the same session ids, interleaved frame by frame. Every frame must
+/// yield exactly one reply for its session, and each connection must
+/// get the replies it gets running alone.
+fn gateway_case(gateway: &Gateway, input: &[u8]) -> Option<String> {
+    let programs = [frame_program(input, 0), frame_program(input, 1)];
+    let mut tables = [SessionTable::new(), SessionTable::new()];
+    let mut got: [Vec<Reply>; 2] = Default::default();
+    for (a, b) in programs[0].iter().zip(&programs[1]) {
+        for (c, &frame) in [a, b].into_iter().enumerate() {
+            let reply = gateway.call(&mut tables[c], frame);
+            if reply.session() != frame.session() {
+                return Some(format!(
+                    "reply session {} for frame session {}",
+                    reply.session(),
+                    frame.session()
+                ));
+            }
+            got[c].push(reply);
         }
     }
-    // Leave no live session behind.
-    for s in 0..4 {
-        let reply = gateway.call(Frame::Close {
-            session: base_session + s,
-        });
-        if reply.session() != base_session + s {
-            return Some("close reply misattributed".to_string());
+    for (c, (program, got)) in programs.iter().zip(&got).enumerate() {
+        let alone = run_alone(gateway, program);
+        if *got != alone {
+            return Some(format!(
+                "connection {c}: replies beside another connection {got:?} != alone {alone:?}"
+            ));
         }
     }
     None
@@ -697,55 +717,39 @@ fn gateway_case(gateway: &Gateway, base_session: u64, input: &[u8]) -> Option<St
 
 /// Batch target: the same frame programs as the gateway target, cut at
 /// arbitrary batch boundaries through [`Gateway::call_batch`] and
-/// differentially checked against a per-frame oracle gateway with
-/// identical configuration and separate session state. Batch replies
-/// are ordered within a session, not across sessions, so both sides
-/// are compared as per-session reply sequences.
-fn batch_case(
-    batched: &Gateway,
-    oracle: &Gateway,
-    base_session: u64,
-    input: &[u8],
-) -> Option<String> {
-    let mut frames = Vec::with_capacity(input.len() / 3 + 1);
-    for op in input.chunks(3) {
-        let (kind, lo, hi) = (
-            op[0],
-            op.get(1).copied().unwrap_or(0),
-            op.get(2).copied().unwrap_or(0),
-        );
-        let session = base_session + (kind >> 4) as u64 % 4;
-        frames.push(match kind & 0x03 {
-            0 | 1 => Frame::Event {
-                session,
-                event: u16::from_be_bytes([lo, hi]),
-            },
-            2 => Frame::Stall { session },
-            _ => Frame::Close { session },
-        });
-    }
-    // The oracle runs every frame through the per-frame path.
-    let mut want: HashMap<u64, Vec<Reply>> = HashMap::new();
-    for &frame in &frames {
-        want.entry(frame.session())
-            .or_default()
-            .push(oracle.call(frame));
-    }
+/// differentially checked against per-frame calls on an oracle gateway
+/// with identical configuration. A second table on the batched gateway
+/// runs the rotated program on the same ids, batch for batch, and must
+/// change nothing the first one sees. Replies come back in frame order.
+fn batch_case(batched: &Gateway, oracle: &Gateway, input: &[u8]) -> Option<String> {
+    let frames = frame_program(input, 0);
+    let other = frame_program(input, 1);
+    let mut oracle_table = SessionTable::new();
+    let want: Vec<Reply> = frames
+        .iter()
+        .map(|&f| oracle.call(&mut oracle_table, f))
+        .collect();
     // The batched side runs the same frames through call_batch at an
     // input-derived batch size, decoding replies back off the wire.
     let split = (input.first().copied().unwrap_or(0) as usize % 7) + 1;
-    let mut got: HashMap<u64, Vec<Reply>> = HashMap::new();
-    let mut scratch = BatchScratch::new();
+    let mut got = Vec::with_capacity(frames.len());
+    let (mut table, mut other_table) = (SessionTable::new(), SessionTable::new());
     let mut out = Vec::new();
     let mut dec = ReplyBuffer::new();
-    for chunk in frames.chunks(split) {
+    for (chunk, other_chunk) in frames.chunks(split).zip(other.chunks(split)) {
         out.clear();
-        let mut slow_frames = Vec::new();
-        batched.call_batch(chunk, &mut scratch, &mut out, &mut |f| slow_frames.push(f));
+        let mut slow = 0usize;
+        batched.call_batch(chunk, &mut table, &mut out, &mut |_| slow += 1);
+        batched.call_batch(other_chunk, &mut other_table, &mut Vec::new(), &mut |_| {
+            slow += 1
+        });
+        if slow > 0 {
+            return Some(format!("{slow} frames handed to the slow path"));
+        }
         dec.extend(&out);
         loop {
             match dec.next_reply() {
-                Ok(Some(reply)) => got.entry(reply.session()).or_default().push(reply),
+                Ok(Some(reply)) => got.push(reply),
                 Ok(None) => break,
                 Err(e) => return Some(format!("batch reply stream undecodable: {e}")),
             }
@@ -753,41 +757,18 @@ fn batch_case(
         if dec.is_mid_message() {
             return Some("batch reply stream torn mid-message".to_string());
         }
-        // A single-threaded case never contends a session, so nothing
-        // should route slow; answer anything that does through the
-        // per-frame path regardless, so a misrouting bug surfaces as
-        // a divergence rather than a lost reply.
-        for frame in slow_frames {
-            let reply = batched.call(frame);
-            got.entry(reply.session()).or_default().push(reply);
-        }
     }
     if got != want {
-        for s in 0..4 {
-            let session = base_session + s;
-            if got.get(&session) != want.get(&session) {
-                return Some(format!(
-                    "session {session}: batched {:?} != per-frame {:?}",
-                    got.get(&session),
-                    want.get(&session)
-                ));
-            }
-        }
-        return Some("batched replies != per-frame replies".to_string());
+        return Some(format!("batched {got:?} != per-frame {want:?}"));
     }
-    // Leave no live session behind on either gateway; the close
-    // replies are the final-state differential.
-    for s in 0..4 {
-        let session = base_session + s;
-        let b = batched.call(Frame::Close { session });
-        let o = oracle.call(Frame::Close { session });
+    // The close replies are the final-state differential.
+    for session in 0..4 {
+        let b = batched.call(&mut table, Frame::Close { session });
+        let o = oracle.call(&mut oracle_table, Frame::Close { session });
         if b != o {
             return Some(format!(
                 "final close diverges on session {session}: batched {b:?}, per-frame {o:?}"
             ));
-        }
-        if b.session() != session {
-            return Some("close reply misattributed".to_string());
         }
     }
     None

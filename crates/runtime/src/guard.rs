@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Why a session was convicted by the online guard.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Conviction {
     /// The frame is not an event any execution of `B ‖ C` can produce
     /// after the accepted prefix.
@@ -495,7 +495,86 @@ impl GuardProgram {
     }
 }
 
-/// Per-session online guard state: one `u32` DFA state.
+/// The state of one session's guard, apart from its program: one
+/// `u32` DFA state and the conviction, if any. [`GuardProgram`]'s
+/// transition functions advance it; a gateway keeps one per session
+/// beside the session's converter version instead of a whole
+/// [`SessionGuard`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct GuardState {
+    cur: u32,
+    convicted: Option<Conviction>,
+}
+
+impl GuardState {
+    /// The conviction, if the session has one.
+    #[inline]
+    pub(crate) fn convicted(&self) -> Option<Conviction> {
+        self.convicted
+    }
+}
+
+impl GuardProgram {
+    /// A fresh session's state: the initial DFA state, already
+    /// convicted when the initial configuration fails progress
+    /// containment for every reachable state.
+    pub(crate) fn start(&self) -> GuardState {
+        GuardState {
+            cur: self.dfa_initial,
+            convicted: self.initial_verdict,
+        }
+    }
+
+    /// Validates one external event frame (an event-table index): a
+    /// single transition-table load. On `Err` the state is convicted
+    /// and stays convicted; every later call returns the same
+    /// conviction.
+    #[inline]
+    pub(crate) fn observe(&self, st: &mut GuardState, event: u16) -> Result<(), Conviction> {
+        if let Some(c) = st.convicted {
+            return Err(c);
+        }
+        let ev = usize::from(event);
+        if ev >= self.nsym {
+            // The gateway rejects unknown indices before reaching the
+            // guard; treat a stray one as a non-trace.
+            st.convicted = Some(Conviction::NotATrace { event });
+            return Err(Conviction::NotATrace { event });
+        }
+        let target = self.trans[st.cur as usize * self.nsym + ev];
+        if target < T_SENTINEL_BASE {
+            st.cur = target;
+            return Ok(());
+        }
+        let c = match target {
+            T_NOT_A_TRACE => Conviction::NotATrace { event },
+            T_SERVICE_VIOLATION => Conviction::ServiceViolation { event },
+            _ => Conviction::Stalled,
+        };
+        st.convicted = Some(c);
+        Err(c)
+    }
+
+    /// Confirms or dismisses a client-attested stall.
+    ///
+    /// Convicts when some possible state fails containment — the
+    /// attested stall then witnesses a reachable progress-failing pair.
+    /// An attestation no possible state supports is dismissed (`Ok`).
+    #[inline]
+    pub(crate) fn attest_stall(&self, st: &mut GuardState) -> Result<(), Conviction> {
+        if let Some(c) = st.convicted {
+            return Err(c);
+        }
+        if self.any_fail[st.cur as usize] {
+            st.convicted = Some(Conviction::Stalled);
+            return Err(Conviction::Stalled);
+        }
+        Ok(())
+    }
+}
+
+/// Per-session online guard state: one `u32` DFA state, with its
+/// program.
 ///
 /// [`SessionGuard::observe`] is a single transition-table load per
 /// frame; the subset tracking, τ-closure and containment scans all
@@ -504,8 +583,7 @@ impl GuardProgram {
 /// differential oracle.
 pub struct SessionGuard {
     prog: Arc<GuardProgram>,
-    cur: u32,
-    convicted: Option<Conviction>,
+    state: GuardState,
     observed: u64,
 }
 
@@ -516,12 +594,10 @@ impl SessionGuard {
     /// for every reachable state, the session starts convicted — the
     /// static verdict is necessarily a progress failure too.
     pub fn new(prog: Arc<GuardProgram>) -> SessionGuard {
-        let cur = prog.dfa_initial;
-        let convicted = prog.initial_verdict.clone();
+        let state = prog.start();
         SessionGuard {
             prog,
-            cur,
-            convicted,
+            state,
             observed: 0,
         }
     }
@@ -531,59 +607,27 @@ impl SessionGuard {
     /// On `Err` the session is convicted and stays convicted; every
     /// later call returns the same conviction.
     pub fn observe(&mut self, event: u16) -> Result<(), Conviction> {
-        if let Some(c) = &self.convicted {
-            return Err(c.clone());
-        }
-        let prog = &*self.prog;
-        let ev = usize::from(event);
-        if ev >= prog.nsym {
-            // The gateway rejects unknown indices before reaching the
-            // guard; treat a stray one as a non-trace.
-            let c = Conviction::NotATrace { event };
-            self.convicted = Some(c.clone());
-            return Err(c);
-        }
-        let target = prog.trans[self.cur as usize * prog.nsym + ev];
-        if target < T_SENTINEL_BASE {
-            self.cur = target;
+        let fresh = self.state.convicted.is_none();
+        let verdict = self.prog.observe(&mut self.state, event);
+        // A stall edge extends the trace with a genuine step — the
+        // conviction is about the state it lands in, so the frame
+        // counts as observed (the reference guard agrees).
+        if fresh && matches!(verdict, Ok(()) | Err(Conviction::Stalled)) {
             self.observed += 1;
-            return Ok(());
         }
-        let c = match target {
-            T_NOT_A_TRACE => Conviction::NotATrace { event },
-            T_SERVICE_VIOLATION => Conviction::ServiceViolation { event },
-            _ => {
-                // A stall edge extends the trace with a genuine step —
-                // the conviction is about the state it lands in, so the
-                // frame counts as observed (the reference guard agrees).
-                self.observed += 1;
-                Conviction::Stalled
-            }
-        };
-        self.convicted = Some(c.clone());
-        Err(c)
+        verdict
     }
 
-    /// Confirms or dismisses a client-attested stall.
-    ///
-    /// Convicts when some possible state fails containment — the
-    /// attested stall then witnesses a reachable progress-failing pair.
-    /// An attestation no possible state supports is dismissed (`Ok`).
+    /// Confirms or dismisses a client-attested stall (see
+    /// [`GuardProgram`]'s stall rule: convicted when some possible
+    /// state fails containment).
     pub fn attest_stall(&mut self) -> Result<(), Conviction> {
-        if let Some(c) = &self.convicted {
-            return Err(c.clone());
-        }
-        if self.prog.any_fail[self.cur as usize] {
-            let c = Conviction::Stalled;
-            self.convicted = Some(c.clone());
-            return Err(c);
-        }
-        Ok(())
+        self.prog.attest_stall(&mut self.state)
     }
 
     /// The conviction, if the session has one.
     pub fn convicted(&self) -> Option<&Conviction> {
-        self.convicted.as_ref()
+        self.state.convicted.as_ref()
     }
 
     /// Frames accepted so far.
@@ -593,7 +637,7 @@ impl SessionGuard {
 
     /// Number of composite states currently possible.
     pub fn possible_states(&self) -> usize {
-        self.prog.subset_size[self.cur as usize] as usize
+        self.prog.subset_size[self.state.cur as usize] as usize
     }
 
     /// The interned event behind a wire index, if any.
@@ -673,11 +717,11 @@ impl SessionGuardReference {
     /// Validates one external event frame (an event-table index).
     pub fn observe(&mut self, event: u16) -> Result<(), Conviction> {
         if let Some(c) = &self.convicted {
-            return Err(c.clone());
+            return Err(*c);
         }
         let Some(eid) = self.prog.table.event(u32::from(event)) else {
             let c = Conviction::NotATrace { event };
-            self.convicted = Some(c.clone());
+            self.convicted = Some(c);
             return Err(c);
         };
         let comp = &self.prog.comp;
@@ -699,12 +743,12 @@ impl SessionGuardReference {
         }
         if next.is_empty() {
             let c = Conviction::NotATrace { event };
-            self.convicted = Some(c.clone());
+            self.convicted = Some(c);
             return Err(c);
         }
         let Some(hub) = self.prog.norm.step(self.hub, eid) else {
             let c = Conviction::ServiceViolation { event };
-            self.convicted = Some(c.clone());
+            self.convicted = Some(c);
             return Err(c);
         };
         self.possible = next;
@@ -713,7 +757,7 @@ impl SessionGuardReference {
         self.tau_close();
         if self.all_fail() {
             let c = Conviction::Stalled;
-            self.convicted = Some(c.clone());
+            self.convicted = Some(c);
             return Err(c);
         }
         Ok(())
@@ -722,7 +766,7 @@ impl SessionGuardReference {
     /// Confirms or dismisses a client-attested stall.
     pub fn attest_stall(&mut self) -> Result<(), Conviction> {
         if let Some(c) = &self.convicted {
-            return Err(c.clone());
+            return Err(*c);
         }
         if self
             .possible
@@ -730,7 +774,7 @@ impl SessionGuardReference {
             .any(|&s| !self.prog.progress_ok(s, self.hub))
         {
             let c = Conviction::Stalled;
-            self.convicted = Some(c.clone());
+            self.convicted = Some(c);
             return Err(c);
         }
         Ok(())

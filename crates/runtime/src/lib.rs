@@ -16,15 +16,16 @@
 //!   one transition-table row; the subset-replaying interpreter
 //!   ([`SessionGuardReference`]) is never served, only kept as the
 //!   differential oracle;
-//! * [`gateway`] — a sharded, session-multiplexed relay with one guard
-//!   (the DFA) and one transport dispatch path: every transport hands
-//!   it whole readiness batches via [`Gateway::call_batch`] — one shard
-//!   lookup, one session lock, and one contiguous guard-DFA run per
-//!   session per batch, replies encoded zero-copy into the caller's
-//!   outbound buffer. The per-frame [`Gateway::call`] is the batch
-//!   path's differential oracle; [`Gateway::submit`] queues frames for
-//!   a worker pool with bounded per-session queues and backpressure.
-//!   Idle eviction and graceful drain cover both;
+//! * [`gateway`] — a session-multiplexed relay with one guard (the
+//!   DFA) and one dispatch path. Sessions belong to their connection:
+//!   each connection owns a [`SessionTable`] keyed by the session id in
+//!   the frame header, so no peer can reach another connection's
+//!   sessions. Every transport hands whole readiness batches to
+//!   [`Gateway::call_batch`] on its connection's table — frames in
+//!   arrival order, one keyed-hash lookup and one guard-DFA step each,
+//!   replies encoded zero-copy into the caller's outbound buffer; the
+//!   per-frame [`Gateway::call`] is a one-frame batch. Idle eviction,
+//!   end-of-connection release and graceful drain cover every session;
 //! * [`transport`] — carriers of the same bytes: in-memory loopback,
 //!   blocking thread-per-connection TCP ([`TcpServer`], kept as the
 //!   differential oracle), and a non-blocking epoll reactor
@@ -43,9 +44,9 @@
 //!   corpus, structure-aware frame mutators, panic/hang detection,
 //!   ddmin shrinking) over the codec, guard, and gateway dispatch —
 //!   `protoquot fuzz`, gated in CI under a pinned seed;
-//! * [`mod@adversarial`] — a hostile load generator: eight wire-level
+//! * [`mod@adversarial`] — a hostile load generator: nine wire-level
 //!   attacks (garbage, truncation, floods, churn, slow-drip,
-//!   backpressure abuse, zombies) with a deterministic,
+//!   backpressure abuse, zombies, session hijack) with a deterministic,
 //!   transport-invariant containment report — `drive --adversarial`;
 //! * [`stats`] — lock-free counters with JSON snapshots, including
 //!   the connection-eviction taxonomy (`slow_consumer`, `slow_read`,
@@ -72,7 +73,7 @@
 //! or multiplexed.
 //!
 //! The operator-facing guide — every CLI flag, the stats/report JSON
-//! schemas, reject reasons, and backpressure/eviction/drain semantics
+//! schemas, reject reasons, and flow-control/eviction/drain semantics
 //! — is `docs/RUNTIME.md` at the repository root.
 
 #![forbid(unsafe_code)]
@@ -86,6 +87,7 @@ pub mod fuzz;
 pub mod gateway;
 pub mod guard;
 pub mod registry;
+mod session;
 pub mod stats;
 pub mod transport;
 
@@ -96,7 +98,7 @@ pub use codec::{
 };
 pub use drive::{drive, drive_mux, DriveConfig, DriveReport, RunOutcome};
 pub use fuzz::{Finding, FindingKind, FuzzConfig, FuzzReport, FuzzTarget};
-pub use gateway::{BatchScratch, Gateway, GatewayConfig, GatewayError, Responder};
+pub use gateway::{BatchScratch, Gateway, GatewayConfig, GatewayError, SessionTable};
 pub use guard::{Conviction, GuardBuildStats, GuardProgram, SessionGuard, SessionGuardReference};
 pub use registry::{AdmittedVersion, ConverterRegistry, RegistryError};
 pub use stats::{ConnEvictReason, RuntimeStats, StatsSnapshot};

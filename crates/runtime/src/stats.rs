@@ -1,12 +1,14 @@
 //! Gateway observability: lock-free counters and JSON snapshots.
 //!
-//! [`RuntimeStats`] is a bag of atomics bumped from the hot paths
-//! (submit, drain, evict); [`StatsSnapshot`] is an immutable view with
-//! derived rates, rendered as text (`protoquot serve --stats`) or JSON
-//! (the periodic snapshot stream).
+//! [`RuntimeStats`] is a bag of shared atomics. The per-frame counts
+//! of a dispatch collect in a batch-local tally and are added to the
+//! atomics once per batch; session and connection events bump them
+//! directly. [`StatsSnapshot`] is an immutable view with derived rates,
+//! rendered as text (`protoquot serve --stats`) or JSON (the periodic
+//! snapshot stream).
 
-use crate::codec::RejectReason;
-use crate::guard::{Conviction, GuardBuildStats};
+use crate::codec::{RejectReason, Reply};
+use crate::guard::GuardBuildStats;
 use protoquot_spec::EventTable;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -49,7 +51,7 @@ fn reason_slot(reason: RejectReason) -> usize {
 /// connection-level half of the eviction taxonomy (the session-level
 /// half is idle eviction and budget expulsion in the gateway). The
 /// invariant these exist for: an abusive peer is convicted or evicted,
-/// never allowed to stall a worker pool or an event loop.
+/// never allowed to stall an event loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConnEvictReason {
     /// The peer stopped reading and its outbound buffer overran the
@@ -101,6 +103,49 @@ fn batch_bucket(frames: usize) -> usize {
     (usize::BITS - 1 - frames.max(1).leading_zeros()).min(BATCH_BUCKETS as u32 - 1) as usize
 }
 
+/// The per-frame counts of one dispatch, kept off the shared atomics
+/// until [`RuntimeStats::absorb`] adds them in, once per batch.
+pub(crate) struct BatchTally {
+    pub(crate) frames: u64,
+    accepted: u64,
+    pub(crate) control: u64,
+    pub(crate) convictions: u64,
+    pub(crate) opened: u64,
+    pub(crate) expelled: u64,
+    rejects: [u64; REASONS.len()],
+    per_event: Vec<u64>,
+}
+
+impl BatchTally {
+    /// An empty tally for a table of `num_events` wire events.
+    pub(crate) fn new(num_events: usize) -> BatchTally {
+        BatchTally {
+            frames: 0,
+            accepted: 0,
+            control: 0,
+            convictions: 0,
+            opened: 0,
+            expelled: 0,
+            rejects: [0; REASONS.len()],
+            per_event: vec![0; num_events],
+        }
+    }
+
+    /// An event frame passed the guard.
+    pub(crate) fn accept(&mut self, event: u16) {
+        self.accepted += 1;
+        if let Some(n) = self.per_event.get_mut(usize::from(event)) {
+            *n += 1;
+        }
+    }
+
+    /// Counts a rejection and builds its reply.
+    pub(crate) fn reject(&mut self, session: u64, reason: RejectReason) -> Reply {
+        self.rejects[reason_slot(reason)] += 1;
+        Reply::Rejected { session, reason }
+    }
+}
+
 /// Shared counters of one gateway.
 pub struct RuntimeStats {
     started: Instant,
@@ -114,19 +159,15 @@ pub struct RuntimeStats {
     conn_evictions: [AtomicU64; 3],
     frames: AtomicU64,
     accepted: AtomicU64,
+    /// Accepted control frames: hello acks, stall attestations and
+    /// closes.
+    control_frames: AtomicU64,
     rejects: [AtomicU64; 10],
     convictions: AtomicU64,
-    queue_high_water: AtomicU64,
     /// Batches taken through `Gateway::call_batch`.
     batches: AtomicU64,
     /// Frames carried by those batches.
     batch_frames: AtomicU64,
-    /// Batched frames processed inline under the session lock (no
-    /// responder, no pool dispatch).
-    batch_inline: AtomicU64,
-    /// Batched frames deferred to the worker-queue slow path because
-    /// their session was already scheduled or queued.
-    batch_slow: AtomicU64,
     /// Batch-size histogram, power-of-two buckets.
     batch_hist: [AtomicU64; BATCH_BUCKETS],
     /// Raw bytes read off transport sockets.
@@ -171,13 +212,11 @@ impl RuntimeStats {
             conn_evictions: Default::default(),
             frames: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
+            control_frames: AtomicU64::new(0),
             rejects: Default::default(),
             convictions: AtomicU64::new(0),
-            queue_high_water: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batch_frames: AtomicU64::new(0),
-            batch_inline: AtomicU64::new(0),
-            batch_slow: AtomicU64::new(0),
             batch_hist: Default::default(),
             bytes_in: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
@@ -241,13 +280,8 @@ impl RuntimeStats {
         map.get(&version).copied().unwrap_or(0)
     }
 
-    /// A session was created.
-    pub fn note_open(&self) {
-        self.sessions_opened.fetch_add(1, Ordering::Relaxed);
-        self.sessions_active.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A session was evicted by the idle sweeper.
+    /// A session was removed without a `Close`: by the idle sweeper or
+    /// because its connection ended.
     pub fn note_evict(&self) {
         self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
         self.sessions_active.fetch_sub(1, Ordering::Relaxed);
@@ -277,39 +311,20 @@ impl RuntimeStats {
         self.conn_evictions[conn_evict_slot(reason)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A session overran its frame budget and was expelled (marked
-    /// closed by the gateway rather than by a client `Close`).
-    pub fn note_expel(&self) {
-        self.sessions_expelled.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A frame arrived (before any verdict).
     pub fn note_frame(&self) {
         self.frames.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An event frame passed the guard.
-    pub fn note_accept(&self, event: u16) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = self.per_event.get(usize::from(event)) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
+    /// A control frame (hello, stall attestation or close) was
+    /// accepted.
+    pub fn note_control(&self) {
+        self.control_frames.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A frame was rejected with `reason`.
     pub fn note_reject(&self, reason: RejectReason) {
         self.rejects[reason_slot(reason)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The guard convicted a session (counted once per session).
-    pub fn note_conviction(&self, _conviction: &Conviction) {
-        self.convictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A per-session queue reached depth `depth`.
-    pub fn note_queue_depth(&self, depth: usize) {
-        self.queue_high_water
-            .fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     /// One `call_batch` of `frames` frames entered the gateway.
@@ -320,14 +335,30 @@ impl RuntimeStats {
         self.batch_hist[batch_bucket(frames)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `n` batched frames were processed inline under the session lock.
-    pub fn note_batch_inline(&self, n: usize) {
-        self.batch_inline.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// `n` batched frames fell back to the worker-queue slow path.
-    pub fn note_batch_slow(&self, n: usize) {
-        self.batch_slow.fetch_add(n as u64, Ordering::Relaxed);
+    /// Adds one dispatch's counts to the shared counters and zeroes
+    /// the tally for the next dispatch.
+    pub(crate) fn absorb(&self, t: &mut BatchTally) {
+        let add = |counter: &AtomicU64, n: &mut u64| {
+            if *n > 0 {
+                counter.fetch_add(*n, Ordering::Relaxed);
+                *n = 0;
+            }
+        };
+        add(&self.frames, &mut t.frames);
+        add(&self.accepted, &mut t.accepted);
+        add(&self.control_frames, &mut t.control);
+        add(&self.convictions, &mut t.convictions);
+        add(&self.sessions_expelled, &mut t.expelled);
+        if t.opened > 0 {
+            self.sessions_active.fetch_add(t.opened, Ordering::Relaxed);
+        }
+        add(&self.sessions_opened, &mut t.opened);
+        for (counter, n) in self.rejects.iter().zip(&mut t.rejects) {
+            add(counter, n);
+        }
+        for (counter, n) in self.per_event.iter().zip(&mut t.per_event) {
+            add(counter, n);
+        }
     }
 
     /// `n` raw bytes arrived from a transport socket.
@@ -344,6 +375,7 @@ impl RuntimeStats {
     pub fn snapshot(&self, table: &EventTable) -> StatsSnapshot {
         let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
         let accepted = self.accepted.load(Ordering::Relaxed);
+        let batch_frames = self.batch_frames.load(Ordering::Relaxed);
         StatsSnapshot {
             uptime_secs: elapsed,
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
@@ -360,6 +392,7 @@ impl RuntimeStats {
                 .collect(),
             frames: self.frames.load(Ordering::Relaxed),
             accepted,
+            control_frames: self.control_frames.load(Ordering::Relaxed),
             events_per_sec: accepted as f64 / elapsed,
             rejects: REASONS
                 .iter()
@@ -368,11 +401,10 @@ impl RuntimeStats {
                 .filter(|&(_, n)| n > 0)
                 .collect(),
             convictions: self.convictions.load(Ordering::Relaxed),
-            queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
+            queue_high_water: 0,
             batches: self.batches.load(Ordering::Relaxed),
-            batch_frames: self.batch_frames.load(Ordering::Relaxed),
-            batch_inline: self.batch_inline.load(Ordering::Relaxed),
-            batch_slow: self.batch_slow.load(Ordering::Relaxed),
+            batch_frames,
+            batch_inline: batch_frames,
             batch_hist: BATCH_BUCKET_NAMES
                 .iter()
                 .zip(&self.batch_hist)
@@ -409,7 +441,8 @@ pub struct StatsSnapshot {
     pub uptime_secs: f64,
     /// Sessions ever created.
     pub sessions_opened: u64,
-    /// Sessions removed by the idle sweeper.
+    /// Sessions removed without a `Close`: by the idle sweeper, or
+    /// because their connection ended.
     pub sessions_evicted: u64,
     /// Sessions removed after a `Close` frame.
     pub sessions_closed: u64,
@@ -428,22 +461,26 @@ pub struct StatsSnapshot {
     pub frames: u64,
     /// Event frames accepted by the guard.
     pub accepted: u64,
+    /// Control frames accepted: hello acks, stall attestations and
+    /// closes. `frames == accepted + Σrejects + control_frames`.
+    pub control_frames: u64,
     /// Accepted events per second of uptime.
     pub events_per_sec: f64,
     /// Reject counts per reason (zero counts omitted).
     pub rejects: Vec<(&'static str, u64)>,
     /// Sessions convicted by the online guard.
     pub convictions: u64,
-    /// Deepest per-session queue observed.
+    /// Always 0: frames are never queued. Kept for compatibility with
+    /// readers of the field; not in the JSON.
     pub queue_high_water: u64,
     /// Batches taken through `Gateway::call_batch`.
     pub batches: u64,
     /// Frames carried by those batches.
     pub batch_frames: u64,
-    /// Batched frames processed inline under the session lock.
+    /// Always `batch_frames`: every batched frame is processed on the
+    /// dispatching thread. Kept for compatibility with readers of the
+    /// field; not in the JSON.
     pub batch_inline: u64,
-    /// Batched frames deferred to the worker-queue slow path.
-    pub batch_slow: u64,
     /// Batch-size histogram: power-of-two buckets (`"1"`, `"2"`, …,
     /// `"128+"`), every bucket listed with zero counts included.
     pub batch_hist: Vec<(&'static str, u64)>,
@@ -498,6 +535,10 @@ impl StatsSnapshot {
         o.insert("connections".into(), Value::Obj(c));
         o.insert("frames".into(), Value::Int(self.frames as i128));
         o.insert("accepted".into(), Value::Int(self.accepted as i128));
+        o.insert(
+            "control_frames".into(),
+            Value::Int(self.control_frames as i128),
+        );
         o.insert("events_per_sec".into(), Value::Float(self.events_per_sec));
         o.insert(
             "rejects".into(),
@@ -509,15 +550,9 @@ impl StatsSnapshot {
             ),
         );
         o.insert("convictions".into(), Value::Int(self.convictions as i128));
-        o.insert(
-            "queue_high_water".into(),
-            Value::Int(self.queue_high_water as i128),
-        );
         let mut b = BTreeMap::new();
         b.insert("batches".into(), Value::Int(self.batches as i128));
         b.insert("frames".into(), Value::Int(self.batch_frames as i128));
-        b.insert("inline".into(), Value::Int(self.batch_inline as i128));
-        b.insert("slow_path".into(), Value::Int(self.batch_slow as i128));
         b.insert(
             "sizes".into(),
             Value::Obj(
@@ -624,12 +659,8 @@ impl std::fmt::Display for StatsSnapshot {
         }
         writeln!(
             f,
-            "frames {} | accepted {} ({:.0} ev/s) | convictions {} | queue high-water {}",
-            self.frames,
-            self.accepted,
-            self.events_per_sec,
-            self.convictions,
-            self.queue_high_water
+            "frames {} | accepted {} ({:.0} ev/s) | control {} | convictions {}",
+            self.frames, self.accepted, self.events_per_sec, self.control_frames, self.convictions
         )?;
         if self.batches > 0 {
             let sizes: Vec<String> = self
@@ -640,11 +671,9 @@ impl std::fmt::Display for StatsSnapshot {
                 .collect();
             writeln!(
                 f,
-                "batches {} | batched frames {} (inline {} slow {}) | sizes {}",
+                "batches {} | batched frames {} | sizes {}",
                 self.batches,
                 self.batch_frames,
-                self.batch_inline,
-                self.batch_slow,
                 sizes.join(" ")
             )?;
         }
@@ -770,14 +799,18 @@ mod tests {
         stats.note_conn_open();
         stats.note_conn_open();
         stats.note_conn_close();
-        stats.note_open();
-        stats.note_frame();
-        stats.note_accept(0);
-        stats.note_frame();
-        stats.note_reject(RejectReason::Backpressure);
-        stats.note_conviction(&Conviction::Stalled);
-        stats.note_queue_depth(5);
-        stats.note_queue_depth(3);
+        // One batch: a session opened, an accepted event, a rejected
+        // frame that convicted its session, and an accepted close.
+        let mut t = BatchTally::new(table.len());
+        t.opened += 1;
+        t.frames += 3;
+        t.accept(0);
+        t.reject(0, RejectReason::Backpressure);
+        t.convictions += 1;
+        t.control += 1;
+        stats.absorb(&mut t);
+        // Absorbing zeroes the tally: a second absorb adds nothing.
+        stats.absorb(&mut t);
         stats.note_close();
 
         let snap = stats.snapshot(&table);
@@ -785,11 +818,12 @@ mod tests {
         assert_eq!(snap.sessions_active, 0);
         assert_eq!(snap.connections_opened, 2);
         assert_eq!(snap.connections_closed, 1);
-        assert_eq!(snap.frames, 2);
+        assert_eq!(snap.frames, 3);
         assert_eq!(snap.accepted, 1);
+        assert_eq!(snap.control_frames, 1);
         assert_eq!(snap.rejects, vec![("backpressure", 1)]);
         assert_eq!(snap.convictions, 1);
-        assert_eq!(snap.queue_high_water, 5);
+        assert_eq!(snap.queue_high_water, 0);
         let first = EventId::new("acc");
         assert_eq!(snap.per_event[table.idx(first) as usize].1, 1);
 
@@ -805,7 +839,8 @@ mod tests {
             Value::Int(2)
         );
         assert!(snap.to_json().contains("\"accepted\":1"));
-        assert!(format!("{snap}").contains("queue high-water 5"));
+        assert_eq!(obj["control_frames"], Value::Int(1));
+        assert!(format!("{snap}").contains("control 1"));
         assert!(format!("{snap}").contains("connections opened=2 closed=1"));
         assert!(snap.to_json().contains("\"guard_build\""));
     }
@@ -856,8 +891,10 @@ mod tests {
         stats.note_conn_close();
         stats.note_conn_evict(ConnEvictReason::Protocol);
         stats.note_conn_evict(ConnEvictReason::Protocol);
-        stats.note_open();
-        stats.note_expel();
+        let mut t = BatchTally::new(table.len());
+        t.opened += 1;
+        t.expelled += 1;
+        stats.absorb(&mut t);
 
         let snap = stats.snapshot(&table);
         assert_eq!(
@@ -912,16 +949,13 @@ mod tests {
         stats.note_batch(1);
         stats.note_batch(3);
         stats.note_batch(256);
-        stats.note_batch_inline(255);
-        stats.note_batch_slow(5);
         stats.note_bytes_in(4096);
         stats.note_bytes_out(1234);
 
         let snap = stats.snapshot(&table);
         assert_eq!(snap.batches, 3);
         assert_eq!(snap.batch_frames, 260);
-        assert_eq!(snap.batch_inline, 255);
-        assert_eq!(snap.batch_slow, 5);
+        assert_eq!(snap.batch_inline, 260);
         assert_eq!(snap.batch_hist.len(), BATCH_BUCKETS);
         assert!(snap.batch_hist.contains(&("1", 1)));
         assert!(snap.batch_hist.contains(&("2", 1)));
@@ -933,8 +967,6 @@ mod tests {
         let b = value.as_obj().unwrap()["batching"].as_obj().unwrap();
         assert_eq!(b["batches"], Value::Int(3));
         assert_eq!(b["frames"], Value::Int(260));
-        assert_eq!(b["inline"], Value::Int(255));
-        assert_eq!(b["slow_path"], Value::Int(5));
         assert_eq!(b["sizes"].as_obj().unwrap()["128+"], Value::Int(1));
         assert_eq!(b["sizes"].as_obj().unwrap()["64"], Value::Int(0));
         let w = value.as_obj().unwrap()["bytes"].as_obj().unwrap();
@@ -942,7 +974,7 @@ mod tests {
         assert_eq!(w["out"], Value::Int(1234));
 
         let text = format!("{snap}");
-        assert!(text.contains("batches 3 | batched frames 260 (inline 255 slow 5)"));
+        assert!(text.contains("batches 3 | batched frames 260 | sizes"));
         assert!(text.contains("bytes in 4096 out 1234"));
     }
 

@@ -28,8 +28,9 @@
 //! through per-loop inboxes, waking the target loop. Per readiness
 //! wakeup a loop reads everything the socket has, feeds a
 //! [`FrameBuffer`], and runs every complete frame through
-//! [`Gateway::call_batch`], which encodes the replies straight into
-//! the connection's outbound buffer; the loop then flushes it once.
+//! [`Gateway::call_batch`] on the connection's own
+//! [`SessionTable`], which encodes the replies straight into the
+//! connection's outbound buffer; the loop then flushes it once.
 //! `EPOLLOUT` interest is registered only while flushed-behind bytes
 //! remain, and a connection whose outbound buffer
 //! outgrows [`ReactorConfig::outbuf_cap`] (a client that stopped
@@ -39,20 +40,28 @@
 //! chunks so a firehosing peer cannot starve its loop's other
 //! connections or defer that cap; [`ConnLimits`] adds the per-
 //! connection session cap and the torn-frame read deadline.
+//!
+//! ## Sessions belong to their connection
+//!
+//! Each server connection (and each loopback carrier) owns one
+//! [`SessionTable`]: the session id in a frame header names a session
+//! of *that* connection only, so no peer can drive or close another
+//! connection's session. The table is dropped when the connection
+//! ends, and its sessions end with it.
 
 use crate::codec::{
-    decode_frame, decode_reply, encode_frame, encode_reply, encode_reply_array, read_payload,
-    write_frame, write_reply, Frame, FrameBuffer, RejectReason, Reply, ReplyBuffer,
+    decode_frame, decode_reply, encode_frame, encode_reply, read_payload, write_frame, Frame,
+    FrameBuffer, RejectReason, Reply, ReplyBuffer,
 };
-use crate::gateway::{BatchScratch, Gateway};
+use crate::gateway::{Gateway, SessionTable};
 use crate::stats::ConnEvictReason;
 use reactor::{Events, Interest, Poll, Token, Waker};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,15 +72,16 @@ use std::time::{Duration, Instant};
 /// peer that floods sessions is *rejected* frame by frame
 /// ([`RejectReason::ResourceLimit`]), a peer that drips a frame past
 /// the read deadline is *evicted*
-/// ([`ConnEvictReason::SlowRead`]) — either way the worker pool and
-/// the event loops keep serving everyone else.
+/// ([`ConnEvictReason::SlowRead`]) — either way the event loops keep
+/// serving everyone else.
 #[derive(Clone, Copy, Debug)]
 pub struct ConnLimits {
-    /// Live sessions one connection may hold at once (a `Close` frees
-    /// its slot). Frames naming a session beyond the cap bounce with
-    /// [`RejectReason::ResourceLimit`] without touching the gateway.
-    /// `0` disables the cap — the default, because multiplexed
-    /// campaigns legitimately hold 100k+ sessions on one socket.
+    /// Open sessions one connection may hold at once (a `Close` frees
+    /// its slot). A frame that would open a session beyond the cap
+    /// bounces with [`RejectReason::ResourceLimit`] and creates no
+    /// state; the connection's [`SessionTable`] enforces it. `0`
+    /// disables the cap — the default, because multiplexed campaigns
+    /// legitimately hold 100k+ sessions on one socket.
     pub max_sessions_per_conn: usize,
     /// How long a connection may sit *mid-frame* (length prefix or
     /// payload started but unfinished) before it is cut as a
@@ -99,129 +109,63 @@ impl Default for ConnLimits {
     }
 }
 
-/// What a transport does with one decoded frame, as decided by
-/// [`ConnSessions::gate`]. Every server path maps these identically,
-/// which is what keeps negotiation byte-identical across transports.
-enum Gate {
-    /// Submit the frame to the gateway.
-    Forward,
-    /// Answer `reply` at the transport; keep the connection.
-    Reply(Reply),
-    /// Answer `reply`, then cut the connection.
-    Refuse(Reply),
-}
-
-/// Tracks the live-session set of one connection against
-/// [`ConnLimits::max_sessions_per_conn`], plus whether the connection
-/// has completed hello negotiation.
-#[derive(Default)]
-struct ConnSessions {
-    live: HashSet<u64>,
+/// Per-connection dispatch state, shared by both socket servers: hello
+/// negotiation, the connection's session table, and the batch buffer
+/// reused across reads.
+struct ConnDispatch {
     /// Whether a hello was acked on this connection.
     hello_done: bool,
-}
-
-impl ConnSessions {
-    /// Admits `frame` against the cap: `Ok(())` to submit it to the
-    /// gateway, `Err(reason)` to bounce it at the transport.
-    fn admit(&mut self, frame: &Frame, cap: usize) -> Result<(), RejectReason> {
-        match frame {
-            Frame::Close { session } => {
-                self.live.remove(session);
-                Ok(())
-            }
-            Frame::Event { session, .. } | Frame::Stall { session } => {
-                if self.live.contains(session) {
-                    return Ok(());
-                }
-                if cap > 0 && self.live.len() >= cap {
-                    return Err(RejectReason::ResourceLimit);
-                }
-                self.live.insert(*session);
-                Ok(())
-            }
-            // Hello is connection-level: it never holds a session slot.
-            Frame::Hello { .. } => Ok(()),
-        }
-    }
-
-    /// Connection-level admission for one decoded frame: hello
-    /// negotiation first, then the session cap. Shared by every server
-    /// path of both transports.
-    fn gate(&mut self, gateway: &Gateway, frame: &Frame, limits: &ConnLimits) -> Gate {
-        match frame {
-            Frame::Hello {
-                session,
-                table_hash,
-                version,
-            } => {
-                let reply = gateway.hello(*session, *table_hash, *version);
-                if matches!(reply, Reply::HelloAck { .. }) {
-                    self.hello_done = true;
-                    Gate::Reply(reply)
-                } else {
-                    Gate::Refuse(reply)
-                }
-            }
-            _ if limits.require_hello && !self.hello_done => Gate::Refuse(
-                gateway.transport_reject(frame.session(), RejectReason::VersionMismatch),
-            ),
-            _ => match self.admit(frame, limits.max_sessions_per_conn) {
-                Ok(()) => Gate::Forward,
-                Err(reason) => Gate::Reply(gateway.transport_reject(frame.session(), reason)),
-            },
-        }
-    }
-}
-
-/// Per-connection dispatch state, shared by both socket servers: the
-/// connection gate plus the batch buffers reused across reads.
-#[derive(Default)]
-struct ConnDispatch {
-    sessions: ConnSessions,
+    /// The sessions of this connection.
+    table: SessionTable,
     /// Frames decoded from the current read, in arrival order.
     batch: Vec<Frame>,
-    /// Admitted run being accumulated for [`Gateway::call_batch`].
-    admitted: Vec<Frame>,
-    /// Session-grouping scratch for [`Gateway::call_batch`].
-    scratch: BatchScratch,
 }
 
 impl ConnDispatch {
-    /// Gates every frame of `batch` and runs the admitted runs through
-    /// [`Gateway::call_batch`], appending every reply to `out`; frames
-    /// of an already queued session go to `slow`. Empties `batch`.
+    fn new(limits: &ConnLimits) -> ConnDispatch {
+        ConnDispatch {
+            hello_done: false,
+            table: SessionTable::with_session_cap(limits.max_sessions_per_conn),
+            batch: Vec::new(),
+        }
+    }
+
+    /// Runs every frame of `batch` in order, appending every reply to
+    /// `out`: hellos are answered here, and so is any frame of a
+    /// connection that skipped a required hello; the runs of frames
+    /// between them go to [`Gateway::call_batch`]. Empties `batch`.
     /// Returns `false` when the connection must be cut (hello
     /// negotiation refused); the refusal reply is already in `out`.
-    fn run(
-        &mut self,
-        gateway: &Gateway,
-        limits: &ConnLimits,
-        out: &mut Vec<u8>,
-        slow: &mut dyn FnMut(Frame),
-    ) -> bool {
+    fn run(&mut self, gateway: &Gateway, limits: &ConnLimits, out: &mut Vec<u8>) -> bool {
         let mut keep = true;
-        for &frame in &self.batch {
-            let (reply, cut) = match self.sessions.gate(gateway, &frame, limits) {
-                Gate::Forward => {
-                    self.admitted.push(frame);
-                    continue;
+        let mut start = 0;
+        for (i, &frame) in self.batch.iter().enumerate() {
+            let reply = match frame {
+                Frame::Hello {
+                    session,
+                    table_hash,
+                    version,
+                } => gateway.hello(session, table_hash, version),
+                _ if limits.require_hello && !self.hello_done => {
+                    gateway.refuse(frame.session(), RejectReason::VersionMismatch)
                 }
-                Gate::Reply(reply) => (reply, false),
-                Gate::Refuse(reply) => (reply, true),
+                _ => continue,
             };
-            // Dispatch the admitted run first so a bounced session's
-            // earlier replies keep their order.
-            gateway.call_batch(&self.admitted, &mut self.scratch, out, slow);
-            self.admitted.clear();
+            // Dispatch the run before this frame first, so replies keep
+            // the order of their frames.
+            gateway.call_batch(&self.batch[start..i], &mut self.table, out, &mut |_| {});
+            start = i + 1;
             encode_reply(&reply, out);
-            if cut {
+            if matches!(reply, Reply::HelloAck { .. }) {
+                self.hello_done = true;
+            } else {
                 keep = false;
                 break;
             }
         }
-        gateway.call_batch(&self.admitted, &mut self.scratch, out, slow);
-        self.admitted.clear();
+        if keep {
+            gateway.call_batch(&self.batch[start..], &mut self.table, out, &mut |_| {});
+        }
         self.batch.clear();
         keep
     }
@@ -234,9 +178,12 @@ pub trait Conn {
 }
 
 /// In-process transport: encodes, decodes, and calls the gateway
-/// directly — the wire format without the socket.
+/// directly — the wire format without the socket. One frame per
+/// [`Gateway::call`] on the connection's own session table: the
+/// lockstep oracle of the batched carriers.
 pub struct LoopbackConn {
     gateway: Gateway,
+    table: SessionTable,
     buf: Vec<u8>,
 }
 
@@ -245,6 +192,7 @@ impl LoopbackConn {
     pub fn new(gateway: Gateway) -> LoopbackConn {
         LoopbackConn {
             gateway,
+            table: SessionTable::new(),
             buf: Vec::with_capacity(32),
         }
     }
@@ -255,7 +203,7 @@ impl Conn for LoopbackConn {
         self.buf.clear();
         encode_frame(frame, &mut self.buf);
         let decoded = decode_frame(&self.buf[4..])?;
-        let reply = self.gateway.call(decoded);
+        let reply = self.gateway.call(&mut self.table, decoded);
         self.buf.clear();
         encode_reply(&reply, &mut self.buf);
         Ok(decode_reply(&self.buf[4..])?)
@@ -323,9 +271,9 @@ impl TcpServer {
     /// Binds `addr` and serves `gateway` with default [`ConnLimits`]
     /// until [`TcpServer::stop`].
     ///
-    /// Each accepted connection gets a reader thread; replies are
-    /// written back by gateway workers through a shared write half, so
-    /// a slow client never blocks the acceptor.
+    /// Each accepted connection gets a thread that reads its frames
+    /// and writes their replies, so a slow client never blocks the
+    /// acceptor.
     pub fn bind<A: ToSocketAddrs>(gateway: Gateway, addr: A) -> io::Result<TcpServer> {
         TcpServer::bind_with(gateway, addr, ConnLimits::default())
     }
@@ -391,20 +339,19 @@ impl Drop for TcpServer {
     }
 }
 
-/// Reads frames off one connection; replies are written (in completion
-/// order — lockstep clients see call order) through a mutex-shared
-/// clone of the stream.
+/// Reads frames off one connection and writes their replies back in
+/// frame order.
 ///
 /// Reads are batched: every socket wakeup pulls whatever bytes are
 /// available into a [`FrameBuffer`] and processes *all* complete frames
 /// it holds, so pipelined clients pay one read syscall for a whole
-/// burst of frames. The burst goes through [`Gateway::call_batch`] —
-/// replies for the whole chunk are encoded into one reusable buffer
-/// and written with a single locked `write_all`. Partial frames stay
-/// buffered across reads; an EOF that strands one is reported as a
-/// torn stream, never silently dropped. Cuts that evict an abusive
-/// peer (garbage, torn stream, slow drip) are attributed in the
-/// gateway stats per [`ConnEvictReason`].
+/// burst of frames. The burst goes through [`Gateway::call_batch`] on
+/// the connection's session table — replies for the whole chunk are
+/// encoded into one reusable buffer and written with one `write_all`.
+/// Partial frames stay buffered across reads; an EOF that strands one
+/// is reported as a torn stream, never silently dropped. Cuts that
+/// evict an abusive peer (garbage, torn stream, slow drip) are
+/// attributed in the gateway stats per [`ConnEvictReason`].
 fn serve_connection(
     gateway: &Gateway,
     stream: TcpStream,
@@ -413,16 +360,14 @@ fn serve_connection(
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut reader = stream;
     let mut frames = FrameBuffer::new();
-    let mut dispatch = ConnDispatch::default();
+    let mut dispatch = ConnDispatch::new(&limits);
     let mut chunk = [0u8; 16 * 1024];
     let mut out: Vec<u8> = Vec::new();
     // First byte of an unfinished message, for the read deadline.
     let mut mid_since: Option<Instant> = None;
     while !stop.load(Ordering::Acquire) {
-        let got = match reader.read(&mut chunk) {
+        let got = match (&stream).read(&mut chunk) {
             Ok(0) => {
                 if frames.is_mid_message() {
                     gateway
@@ -469,20 +414,9 @@ fn serve_connection(
             }
         }
         out.clear();
-        let mut slow = |frame: Frame| {
-            let writer = Arc::clone(&writer);
-            gateway.submit(
-                frame,
-                Box::new(move |reply| {
-                    let mut w = writer.lock().unwrap();
-                    let _ = write_reply(&mut *w, &reply);
-                }),
-            );
-        };
-        let refused = !dispatch.run(gateway, &limits, &mut out, &mut slow);
+        let refused = !dispatch.run(gateway, &limits, &mut out);
         if !out.is_empty() {
-            let mut w = writer.lock().unwrap();
-            w.write_all(&out)?;
+            (&stream).write_all(&out)?;
             gateway.runtime_stats().note_bytes_out(out.len());
         }
         if refused {
@@ -553,8 +487,7 @@ impl Default for ReactorConfig {
     }
 }
 
-/// Outbound bytes of one reactor connection, shared between the
-/// event loop (flush side) and gateway-worker responders (append side).
+/// Outbound bytes of one connection, with partial-write tracking.
 #[derive(Default)]
 struct OutBuf {
     buf: Vec<u8>,
@@ -576,33 +509,22 @@ impl OutBuf {
 }
 
 /// The cross-thread face of one event loop: how the acceptor hands it
-/// connections and how responders ask it to flush.
+/// connections and how [`ReactorServer::stop`] stops it.
 struct LoopShared {
     waker: Waker,
     /// Connections accepted but not yet registered on this loop.
     inbox: Mutex<Vec<TcpStream>>,
-    /// Tokens with fresh outbound bytes to flush.
-    flush: Mutex<Vec<usize>>,
     stop: AtomicBool,
-}
-
-impl LoopShared {
-    /// Queue `token` for a flush and wake the loop. Called by gateway
-    /// workers after appending a reply to the connection's [`OutBuf`].
-    fn request_flush(&self, token: usize) {
-        self.flush.lock().unwrap().push(token);
-        let _ = self.waker.wake();
-    }
 }
 
 /// Per-connection state owned by its event loop.
 struct ReactorConn {
     stream: TcpStream,
     frames: FrameBuffer,
-    out: Arc<Mutex<OutBuf>>,
+    out: OutBuf,
     /// Whether the registration currently includes `EPOLLOUT`.
     write_interest: bool,
-    /// Session gate and batch buffers of this connection.
+    /// Hello state, session table and batch buffer of this connection.
     dispatch: ConnDispatch,
     /// First byte of an unfinished inbound message, for the read
     /// deadline sweep.
@@ -642,7 +564,6 @@ impl ReactorServer {
             loops.push(Arc::new(LoopShared {
                 waker,
                 inbox: Mutex::new(Vec::new()),
-                flush: Mutex::new(Vec::new()),
                 stop: AtomicBool::new(false),
             }));
         }
@@ -689,7 +610,7 @@ impl ReactorServer {
     }
 
     /// Stops every event loop and joins it; live connections are
-    /// dropped (their sessions stay in the gateway until evicted).
+    /// dropped, and their sessions with them.
     pub fn stop(&mut self) {
         for l in &self.loops {
             l.stop.store(true, Ordering::Release);
@@ -707,7 +628,7 @@ impl Drop for ReactorServer {
     }
 }
 
-/// One event-loop thread: readiness events in, gateway submissions and
+/// One event-loop thread: readiness events in, gateway dispatches and
 /// reply flushes out. Runs until its `LoopShared::stop` flag is set.
 fn event_loop(
     gateway: &Gateway,
@@ -758,10 +679,8 @@ fn event_loop(
                                     .is_ok();
                             }
                             if keep && ev.is_readable() {
-                                keep = read_conn(gateway, shared, Token(t), conn, &mut chunk, cfg);
-                                // Inline batch replies land in the
-                                // outbound buffer without a waker
-                                // round-trip; flush them right away —
+                                keep = read_conn(gateway, conn, &mut chunk, cfg);
+                                // Flush the batch's replies right away —
                                 // even before a cut, so a negotiation
                                 // refusal reaches the peer.
                                 keep = flush_conn(gateway, poll, Token(t), conn, cfg.outbuf_cap)
@@ -788,26 +707,14 @@ fn event_loop(
                     &mut next_token,
                     poll,
                     gateway,
+                    cfg,
                 );
             }
         }
         // Register connections handed over by the acceptor loop.
         let handed: Vec<TcpStream> = std::mem::take(&mut *shared.inbox.lock().unwrap());
         for stream in handed {
-            register_conn(poll, &mut conns, &mut next_token, stream, gateway);
-        }
-        // Flush connections whose responders appended replies.
-        let mut dirty: Vec<usize> = std::mem::take(&mut *shared.flush.lock().unwrap());
-        dirty.sort_unstable();
-        dirty.dedup();
-        for t in dirty {
-            let keep = match conns.get_mut(&t) {
-                None => continue,
-                Some(conn) => flush_conn(gateway, poll, Token(t), conn, cfg.outbuf_cap).is_ok(),
-            };
-            if !keep {
-                drop_conn(gateway, poll, &mut conns, t);
-            }
+            register_conn(poll, &mut conns, &mut next_token, stream, gateway, cfg);
         }
         // Read-deadline sweep: cut connections stuck mid-frame.
         if !deadline.is_zero() && last_sweep.elapsed() >= sweep_every {
@@ -844,6 +751,7 @@ fn accept_all(
     next_token: &mut usize,
     poll: &Poll,
     gateway: &Gateway,
+    cfg: &ReactorConfig,
 ) {
     loop {
         match listener.accept() {
@@ -851,7 +759,7 @@ fn accept_all(
                 gateway.runtime_stats().note_conn_open();
                 let target = next.fetch_add(1, Ordering::Relaxed) % peers.len();
                 if Arc::ptr_eq(&peers[target], shared) {
-                    register_conn(poll, conns, next_token, stream, gateway);
+                    register_conn(poll, conns, next_token, stream, gateway, cfg);
                 } else {
                     peers[target].inbox.lock().unwrap().push(stream);
                     let _ = peers[target].waker.wake();
@@ -871,6 +779,7 @@ fn register_conn(
     next_token: &mut usize,
     stream: TcpStream,
     gateway: &Gateway,
+    cfg: &ReactorConfig,
 ) {
     let token = *next_token;
     *next_token += 1;
@@ -888,9 +797,9 @@ fn register_conn(
         ReactorConn {
             stream,
             frames: FrameBuffer::new(),
-            out: Arc::new(Mutex::new(OutBuf::default())),
+            out: OutBuf::default(),
             write_interest: false,
-            dispatch: ConnDispatch::default(),
+            dispatch: ConnDispatch::new(&cfg.limits),
             mid_since: None,
         },
     );
@@ -903,8 +812,6 @@ fn register_conn(
 /// damage are still answered either way.
 fn read_conn(
     gateway: &Gateway,
-    shared: &Arc<LoopShared>,
-    token: Token,
     conn: &mut ReactorConn,
     chunk: &mut [u8],
     cfg: &ReactorConfig,
@@ -913,22 +820,7 @@ fn read_conn(
     if conn.dispatch.batch.is_empty() {
         return keep;
     }
-    let out = &conn.out;
-    let mut slow = |frame: Frame| {
-        let out = Arc::clone(out);
-        let shared = Arc::clone(shared);
-        gateway.submit(
-            frame,
-            Box::new(move |reply| {
-                encode_reply(&reply, &mut out.lock().unwrap().buf);
-                shared.request_flush(token.0);
-            }),
-        );
-    };
-    let mut ob = out.lock().unwrap();
-    conn.dispatch
-        .run(gateway, &cfg.limits, &mut ob.buf, &mut slow)
-        && keep
+    conn.dispatch.run(gateway, &cfg.limits, &mut conn.out.buf) && keep
 }
 
 /// Read half: pulls bounded chunks into the frame buffer and decodes
@@ -1005,7 +897,7 @@ fn flush_conn(
     conn: &mut ReactorConn,
     outbuf_cap: usize,
 ) -> io::Result<()> {
-    let mut out = conn.out.lock().unwrap();
+    let out = &mut conn.out;
     while out.pending() > 0 {
         let start = out.start;
         match (&conn.stream).write(&out.buf[start..]) {
@@ -1211,22 +1103,19 @@ impl MuxTransport for MuxClient {
 
 /// In-process [`MuxTransport`]: frames go through the real encoder and
 /// decoder and accumulate until [`MuxTransport::exchange`] runs the
-/// whole burst through [`Gateway::call_batch`] and decodes the inline
-/// reply bytes from a reused wire buffer. Slow-path replies round-trip
-/// the wire format (stack-encoded, no per-reply allocation) into a
-/// condvar-guarded queue the exchange drains. The differential twin of
-/// [`MuxClient`] for socket-free tests and benchmarks.
+/// whole burst through [`Gateway::call_batch`] on the carrier's own
+/// session table and decodes the replies from a reused wire buffer.
+/// The differential twin of [`MuxClient`] for socket-free tests and
+/// benchmarks.
 pub struct LoopbackMux {
     gateway: Gateway,
-    pending: Arc<(Mutex<Vec<Reply>>, Condvar)>,
+    table: SessionTable,
     buf: Vec<u8>,
     /// Decoded frames awaiting the next exchange.
     queued: Vec<Frame>,
-    /// Session-grouping scratch for [`Gateway::call_batch`].
-    scratch: BatchScratch,
-    /// Reused inline-reply wire buffer.
+    /// Reused reply wire buffer.
     wire: Vec<u8>,
-    /// Reused inline-reply decoder.
+    /// Reused reply decoder.
     rdec: ReplyBuffer,
 }
 
@@ -1235,10 +1124,9 @@ impl LoopbackMux {
     pub fn new(gateway: Gateway) -> LoopbackMux {
         LoopbackMux {
             gateway,
-            pending: Arc::new((Mutex::new(Vec::new()), Condvar::new())),
+            table: SessionTable::new(),
             buf: Vec::with_capacity(32),
             queued: Vec::new(),
-            scratch: BatchScratch::new(),
             wire: Vec::new(),
             rdec: ReplyBuffer::new(),
         }
@@ -1253,48 +1141,26 @@ impl MuxTransport for LoopbackMux {
         Ok(())
     }
 
+    /// Every queued frame is answered within the exchange, so waiting
+    /// with nothing queued could never end: that is an error instead.
     fn exchange(&mut self, wait: bool, replies: &mut Vec<Reply>) -> io::Result<()> {
-        let mut inline = 0usize;
-        if !self.queued.is_empty() {
-            self.wire.clear();
-            let gateway = &self.gateway;
-            let pending = &self.pending;
-            let mut slow = |frame: Frame| {
-                let pending = Arc::clone(pending);
-                gateway.submit(
-                    frame,
-                    Box::new(move |reply| {
-                        let (wire, len) = encode_reply_array(&reply);
-                        if let Ok(reply) = decode_reply(&wire[4..len]) {
-                            let (lock, cv) = &*pending;
-                            lock.lock().unwrap().push(reply);
-                            cv.notify_one();
-                        }
-                    }),
-                );
+        if self.queued.is_empty() {
+            return if wait {
+                Err(io::Error::other(
+                    "exchange waits for a reply with no frame in flight",
+                ))
+            } else {
+                Ok(())
             };
-            gateway.call_batch(&self.queued, &mut self.scratch, &mut self.wire, &mut slow);
-            self.queued.clear();
-            self.rdec.extend(&self.wire);
-            while let Some(r) = self.rdec.next_reply()? {
-                replies.push(r);
-                inline += 1;
-            }
         }
-        let (lock, cv) = &*self.pending;
-        let mut got = lock.lock().unwrap();
-        if wait && inline == 0 {
-            // Gateway workers always answer admitted frames, so a bare
-            // wait cannot hang; the timeout guards responder drops
-            // during teardown.
-            while got.is_empty() {
-                let (g, _) = cv
-                    .wait_timeout(got, Duration::from_millis(100))
-                    .map_err(|_| io::Error::other("poisoned reply queue"))?;
-                got = g;
-            }
+        self.wire.clear();
+        self.gateway
+            .call_batch(&self.queued, &mut self.table, &mut self.wire, &mut |_| {});
+        self.queued.clear();
+        self.rdec.extend(&self.wire);
+        while let Some(r) = self.rdec.next_reply()? {
+            replies.push(r);
         }
-        replies.append(&mut got);
         Ok(())
     }
 }

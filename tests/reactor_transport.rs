@@ -22,12 +22,12 @@ mod common;
 use protoquot_core::{converter_verdict, solve};
 use protoquot_protocols::{colocated_configuration, exactly_once};
 use protoquot_runtime::{
-    drive, drive_mux, Conn, DriveConfig, DriveReport, Gateway, GatewayConfig, LoopbackConn,
-    LoopbackMux, MuxClient, MuxTransport, ReactorConfig, ReactorServer, StatsSnapshot, TcpConn,
-    TcpServer,
+    drive, drive_mux, Conn, DriveConfig, DriveReport, Frame, Gateway, GatewayConfig, LoopbackConn,
+    LoopbackMux, MuxClient, MuxTransport, ReactorConfig, ReactorServer, Reply, TcpConn, TcpServer,
 };
 use protoquot_sim::{redirect_transition, FaultPlan};
 use protoquot_spec::Spec;
+use std::io;
 
 fn config(runs: u64, threads: usize, sessions_per_conn: u64) -> DriveConfig {
     DriveConfig {
@@ -41,19 +41,11 @@ fn config(runs: u64, threads: usize, sessions_per_conn: u64) -> DriveConfig {
     }
 }
 
-/// A fresh gateway per campaign: closed sessions are tombstoned until
-/// idle eviction, and every campaign reuses run indices as session ids.
+/// A fresh gateway per campaign, so each campaign's stats stand alone.
 fn gateway(components: &[Spec], service: &Spec) -> Gateway {
     let parts: Vec<&Spec> = components.iter().collect();
     Gateway::new(&parts, service, GatewayConfig::default())
         .expect("gateway must compile the system")
-}
-
-/// Asserts the stats conservation laws, and that the carrier answered
-/// every frame inline without ever queueing one for a worker.
-fn assert_stats_sound(label: &str, snap: &StatsSnapshot) {
-    common::assert_stats_conserved(label, snap);
-    common::assert_never_queued(label, snap);
 }
 
 /// One campaign over the named carrier, with its own server teardown.
@@ -111,7 +103,7 @@ fn campaign(
         snap.convictions, report.convicted_runs,
         "{carrier}: gateway conviction counter disagrees with the drive report"
     );
-    assert_stats_sound(carrier, &snap);
+    common::assert_stats_conserved(carrier, &snap);
     (report, snap.connections_opened, snap.connections_closed)
 }
 
@@ -261,7 +253,7 @@ fn reactor_sustains_a_thousand_sessions_per_connection() {
     assert!(report.is_clean(), "verified converter convicted: {report}");
     assert!(report.accepted > 0, "no frames relayed");
     let snap = gw.stats();
-    assert_stats_sound("thousand sessions per connection", &snap);
+    common::assert_stats_conserved("thousand sessions per connection", &snap);
     // 2000 sessions crossed at most two sockets.
     assert!(
         snap.connections_opened <= 2,
@@ -269,4 +261,103 @@ fn reactor_sustains_a_thousand_sessions_per_connection() {
         snap.connections_opened
     );
     assert_eq!(snap.sessions_opened, 2000, "every run is one session");
+}
+
+/// A multiplexed carrier driven lockstep: one frame, one exchange.
+struct Lockstep<M: MuxTransport>(M);
+
+impl<M: MuxTransport> Conn for Lockstep<M> {
+    fn call(&mut self, frame: &Frame) -> io::Result<Reply> {
+        self.0.queue(frame)?;
+        let mut replies = Vec::new();
+        self.0.exchange(true, &mut replies)?;
+        match replies.as_slice() {
+            [reply] => Ok(*reply),
+            other => Err(io::Error::other(format!(
+                "expected one reply, got {other:?}"
+            ))),
+        }
+    }
+}
+
+/// Sessions are scoped to their connection. Connection A sends
+/// `trace[0]` on session 7; connection B then sends `trace[1]` and
+/// `Close` on its own session 7. Neither reaches A's session: A's
+/// `trace[1]` is still accepted, and A's next frame is not answered
+/// `closed` — over the blocking server, the reactor and the
+/// multiplexed loopback alike.
+#[test]
+fn sessions_are_scoped_to_their_connection() {
+    let system = colocated_configuration();
+    let service = exactly_once();
+    let q = solve(&system.b, &service, &system.int).expect("colocated converter derives");
+    let components = [system.b, q.converter];
+    for carrier in ["blocking", "reactor", "loopback-mux"] {
+        let gw = gateway(&components, &service);
+        let trace = gw.program().sample_accepted(3);
+        assert_eq!(trace.len(), 3, "the converter accepts a three-event trace");
+        let event = |i: usize| Frame::Event {
+            session: 7,
+            event: trace[i],
+        };
+        let mut blocking = None;
+        let mut reactor = None;
+        let (mut a, mut b): (Box<dyn Conn>, Box<dyn Conn>) = match carrier {
+            "loopback-mux" => (
+                Box::new(Lockstep(LoopbackMux::new(gw.clone()))),
+                Box::new(Lockstep(LoopbackMux::new(gw.clone()))),
+            ),
+            _ => {
+                let addr = if carrier == "blocking" {
+                    let server = TcpServer::bind(gw.clone(), "127.0.0.1:0").expect("bind");
+                    blocking.insert(server).local_addr()
+                } else {
+                    let server =
+                        ReactorServer::bind(gw.clone(), "127.0.0.1:0", ReactorConfig::default())
+                            .expect("bind");
+                    reactor.insert(server).local_addr()
+                };
+                (
+                    Box::new(TcpConn::connect(addr).expect("connect A")),
+                    Box::new(TcpConn::connect(addr).expect("connect B")),
+                )
+            }
+        };
+        let accepted = Reply::Accepted { session: 7 };
+        assert_eq!(a.call(&event(0)).unwrap(), accepted, "{carrier}");
+        // B's first frame opens B's session 7, whatever its verdict.
+        assert_eq!(b.call(&event(1)).unwrap().session(), 7, "{carrier}");
+        assert_eq!(
+            b.call(&Frame::Close { session: 7 }).unwrap(),
+            accepted,
+            "{carrier}"
+        );
+        assert_eq!(
+            a.call(&event(1)).unwrap(),
+            accepted,
+            "{carrier}: B's event reached A's session"
+        );
+        assert_eq!(
+            a.call(&event(2)).unwrap(),
+            accepted,
+            "{carrier}: B's close reached A's session"
+        );
+        drop((a, b));
+        if let Some(mut server) = blocking {
+            server.stop();
+        }
+        if let Some(mut server) = reactor {
+            server.stop();
+        }
+        let snap = gw.stats();
+        assert_eq!(
+            snap.sessions_opened, 2,
+            "{carrier}: one session per connection"
+        );
+        assert_eq!(
+            snap.sessions_active, 0,
+            "{carrier}: sessions end with their connection"
+        );
+        common::assert_stats_conserved(carrier, &snap);
+    }
 }
