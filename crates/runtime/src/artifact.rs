@@ -44,7 +44,7 @@
 
 use crate::codec::table_hash;
 use crate::guard::{Conviction, GuardProgram};
-use protoquot_spec::{Spec, SpecDoc, SpecError};
+use protoquot_spec::{EventId, Spec, SpecDoc, SpecError};
 use std::fmt;
 
 /// Leading magic of every compiled artifact.
@@ -167,27 +167,37 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_doc(out: &mut Vec<u8>, doc: &SpecDoc) {
-    put_str(out, &doc.name);
-    out.extend_from_slice(&(doc.alphabet.len() as u32).to_be_bytes());
-    for name in &doc.alphabet {
+/// Writes `spec` in the `SpecDoc` layout, straight from the spec: each
+/// alphabet name is fetched from the event interner once, and a
+/// transition's event is found among them by id.
+fn put_spec(out: &mut Vec<u8>, spec: &Spec) {
+    put_str(out, spec.name());
+    let events: Vec<EventId> = spec.alphabet().iter().collect();
+    let names = spec.alphabet().names();
+    out.extend_from_slice(&(names.len() as u32).to_be_bytes());
+    for name in &names {
         put_str(out, name);
     }
-    out.extend_from_slice(&(doc.states.len() as u32).to_be_bytes());
-    for name in &doc.states {
-        put_str(out, name);
+    out.extend_from_slice(&(spec.num_states() as u32).to_be_bytes());
+    for s in spec.states() {
+        put_str(out, spec.state_name(s));
     }
-    out.extend_from_slice(&(doc.initial as u32).to_be_bytes());
-    out.extend_from_slice(&(doc.external.len() as u32).to_be_bytes());
-    for (from, event, to) in &doc.external {
-        out.extend_from_slice(&(*from as u32).to_be_bytes());
-        put_str(out, event);
-        out.extend_from_slice(&(*to as u32).to_be_bytes());
+    out.extend_from_slice(&spec.initial().0.to_be_bytes());
+    out.extend_from_slice(&(spec.num_external() as u32).to_be_bytes());
+    for (from, event, to) in spec.external_transitions() {
+        out.extend_from_slice(&from.0.to_be_bytes());
+        match events.binary_search(&event) {
+            Ok(i) => put_str(out, &names[i]),
+            // An edge on an event outside the alphabet (a spec built
+            // whole by `spec_from_parts` may have one).
+            Err(_) => put_str(out, &event.name()),
+        }
+        out.extend_from_slice(&to.0.to_be_bytes());
     }
-    out.extend_from_slice(&(doc.internal.len() as u32).to_be_bytes());
-    for (from, to) in &doc.internal {
-        out.extend_from_slice(&(*from as u32).to_be_bytes());
-        out.extend_from_slice(&(*to as u32).to_be_bytes());
+    out.extend_from_slice(&(spec.num_internal() as u32).to_be_bytes());
+    for (from, to) in spec.internal_transitions() {
+        out.extend_from_slice(&from.0.to_be_bytes());
+        out.extend_from_slice(&to.0.to_be_bytes());
     }
 }
 
@@ -202,39 +212,39 @@ pub fn encode(parts: &[&Spec], service: &Spec) -> Result<Vec<u8>, ArtifactError>
 /// Same as [`encode`] for a caller that already built the guard (the
 /// CLI builds one for `--stats` anyway).
 pub fn encode_with_program(parts: &[&Spec], service: &Spec, prog: &GuardProgram) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_doc(&mut payload, &SpecDoc::from(service));
-    payload.extend_from_slice(&(parts.len() as u32).to_be_bytes());
-    for part in parts {
-        put_doc(&mut payload, &SpecDoc::from(*part));
-    }
     let t = prog.dfa_tables();
-    payload.extend_from_slice(&(t.nsym as u32).to_be_bytes());
-    payload.extend_from_slice(&t.dfa_initial.to_be_bytes());
-    payload.extend_from_slice(&(t.trans.len() as u64).to_be_bytes());
-    for &x in t.trans {
-        payload.extend_from_slice(&x.to_be_bytes());
-    }
-    payload.extend_from_slice(&(t.any_fail.len() as u64).to_be_bytes());
-    payload.extend(t.any_fail.iter().map(|&b| u8::from(b)));
-    payload.extend_from_slice(&(t.subset_size.len() as u64).to_be_bytes());
-    for &x in t.subset_size {
-        payload.extend_from_slice(&x.to_be_bytes());
-    }
-    match verdict_code(t.initial_verdict) {
-        None => payload.push(0),
-        Some((code, event)) => {
-            payload.push(code);
-            payload.extend_from_slice(&event.to_be_bytes());
-        }
-    }
-
-    let mut out = Vec::with_capacity(24 + payload.len());
+    // The header goes first, its content hash filled in at the end.
+    let mut out = Vec::with_capacity(24 + 4 * t.trans.len() + 5 * t.any_fail.len());
     out.extend_from_slice(&ARTIFACT_MAGIC);
     out.extend_from_slice(&ARTIFACT_FORMAT.to_be_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_be_bytes());
+    out.extend_from_slice(&[0; 8]);
     out.extend_from_slice(&table_hash(prog.table()).to_be_bytes());
-    out.extend_from_slice(&payload);
+    put_spec(&mut out, service);
+    out.extend_from_slice(&(parts.len() as u32).to_be_bytes());
+    for part in parts {
+        put_spec(&mut out, part);
+    }
+    out.extend_from_slice(&(t.nsym as u32).to_be_bytes());
+    out.extend_from_slice(&t.dfa_initial.to_be_bytes());
+    out.extend_from_slice(&(t.trans.len() as u64).to_be_bytes());
+    for &x in t.trans {
+        out.extend_from_slice(&x.to_be_bytes());
+    }
+    out.extend_from_slice(&(t.any_fail.len() as u64).to_be_bytes());
+    out.extend(t.any_fail.iter().map(|&b| u8::from(b)));
+    out.extend_from_slice(&(t.subset_size.len() as u64).to_be_bytes());
+    for &x in t.subset_size {
+        out.extend_from_slice(&x.to_be_bytes());
+    }
+    match verdict_code(t.initial_verdict) {
+        None => out.push(0),
+        Some((code, event)) => {
+            out.push(code);
+            out.extend_from_slice(&event.to_be_bytes());
+        }
+    }
+    let hash = fnv1a(&out[24..]);
+    out[8..16].copy_from_slice(&hash.to_be_bytes());
     out
 }
 
@@ -250,14 +260,34 @@ fn verdict_code(v: Option<&Conviction>) -> Option<(u8, u16)> {
 // Decoding: the strict, fuzzable loader
 // ---------------------------------------------------------------------
 
-/// Bounds-checked big-endian reader over the payload.
+/// A field of an embedded spec, named in error messages: `service.name`,
+/// `part 1.external.from`. Built for every read but formatted only
+/// when a read fails.
+#[derive(Clone, Copy)]
+struct Field {
+    /// `None` for the service, else the part's index.
+    part: Option<usize>,
+    name: &'static str,
+}
+
+impl fmt::Display for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.part {
+            None => write!(f, "service.{}", self.name),
+            Some(i) => write!(f, "part {i}.{}", self.name),
+        }
+    }
+}
+
+/// Bounds-checked big-endian reader over the payload. Every read names
+/// its field with a `what` that is formatted only into an error.
 struct Reader<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ArtifactError> {
+    fn take(&mut self, n: usize, what: impl fmt::Display) -> Result<&'a [u8], ArtifactError> {
         let end = self
             .at
             .checked_add(n)
@@ -274,23 +304,23 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, ArtifactError> {
+    fn u8(&mut self, what: impl fmt::Display) -> Result<u8, ArtifactError> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u16(&mut self, what: &str) -> Result<u16, ArtifactError> {
+    fn u16(&mut self, what: impl fmt::Display) -> Result<u16, ArtifactError> {
         Ok(u16::from_be_bytes(self.take(2, what)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, ArtifactError> {
+    fn u32(&mut self, what: impl fmt::Display) -> Result<u32, ArtifactError> {
         Ok(u32::from_be_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self, what: &str) -> Result<u64, ArtifactError> {
+    fn u64(&mut self, what: impl fmt::Display) -> Result<u64, ArtifactError> {
         Ok(u64::from_be_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    fn str(&mut self, what: &str) -> Result<String, ArtifactError> {
+    fn str(&mut self, what: impl fmt::Display + Copy) -> Result<String, ArtifactError> {
         let len = self.u32(what)? as usize;
         if len > MAX_STRING {
             return Err(ArtifactError::Malformed(format!(
@@ -298,14 +328,19 @@ impl<'a> Reader<'a> {
             )));
         }
         let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
             .map_err(|_| ArtifactError::Malformed(format!("{what}: string is not UTF-8")))
     }
 
     /// A count whose elements occupy at least `min_elem` bytes each:
     /// rejects counts the remaining bytes cannot possibly satisfy, so a
     /// corrupt prefix cannot demand a huge allocation.
-    fn count(&mut self, min_elem: usize, what: &str) -> Result<usize, ArtifactError> {
+    fn count(
+        &mut self,
+        min_elem: usize,
+        what: impl fmt::Display + Copy,
+    ) -> Result<usize, ArtifactError> {
         let n = self.u32(what)? as usize;
         let remaining = self.bytes.len() - self.at;
         if n.saturating_mul(min_elem) > remaining {
@@ -321,32 +356,34 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn get_doc(r: &mut Reader<'_>, what: &str) -> Result<SpecDoc, ArtifactError> {
-    let name = r.str(&format!("{what}.name"))?;
-    let n = r.count(4, &format!("{what}.alphabet"))?;
+/// Reads one embedded spec: the service (`part` `None`) or part `i`.
+fn get_doc(r: &mut Reader<'_>, part: Option<usize>) -> Result<SpecDoc, ArtifactError> {
+    let field = |name| Field { part, name };
+    let name = r.str(field("name"))?;
+    let n = r.count(4, field("alphabet"))?;
     let mut alphabet = Vec::with_capacity(n);
     for _ in 0..n {
-        alphabet.push(r.str(&format!("{what}.alphabet entry"))?);
+        alphabet.push(r.str(field("alphabet entry"))?);
     }
-    let n = r.count(4, &format!("{what}.states"))?;
+    let n = r.count(4, field("states"))?;
     let mut states = Vec::with_capacity(n);
     for _ in 0..n {
-        states.push(r.str(&format!("{what}.state name"))?);
+        states.push(r.str(field("state name"))?);
     }
-    let initial = r.u32(&format!("{what}.initial"))? as usize;
-    let n = r.count(12, &format!("{what}.external"))?;
+    let initial = r.u32(field("initial"))? as usize;
+    let n = r.count(12, field("external"))?;
     let mut external = Vec::with_capacity(n);
     for _ in 0..n {
-        let from = r.u32(&format!("{what}.external.from"))? as usize;
-        let event = r.str(&format!("{what}.external.event"))?;
-        let to = r.u32(&format!("{what}.external.to"))? as usize;
+        let from = r.u32(field("external.from"))? as usize;
+        let event = r.str(field("external.event"))?;
+        let to = r.u32(field("external.to"))? as usize;
         external.push((from, event, to));
     }
-    let n = r.count(8, &format!("{what}.internal"))?;
+    let n = r.count(8, field("internal"))?;
     let mut internal = Vec::with_capacity(n);
     for _ in 0..n {
-        let from = r.u32(&format!("{what}.internal.from"))? as usize;
-        let to = r.u32(&format!("{what}.internal.to"))? as usize;
+        let from = r.u32(field("internal.from"))? as usize;
+        let to = r.u32(field("internal.to"))? as usize;
         internal.push((from, to));
     }
     Ok(SpecDoc {
@@ -411,11 +448,11 @@ impl CompiledArtifact {
             bytes: payload,
             at: 0,
         };
-        let service = get_doc(&mut r, "service")?;
+        let service = get_doc(&mut r, None)?;
         let nparts = r.count(4, "parts")?;
         let mut parts = Vec::with_capacity(nparts);
         for i in 0..nparts {
-            parts.push(get_doc(&mut r, &format!("part {i}"))?);
+            parts.push(get_doc(&mut r, Some(i))?);
         }
         if parts.is_empty() {
             return Err(ArtifactError::Malformed("artifact holds no parts".into()));
@@ -517,11 +554,11 @@ impl CompiledArtifact {
     /// the service and re-verifies the composite the program runs on,
     /// and the program feeds the gateway.
     pub fn instantiate(&self) -> Result<(Vec<Spec>, Spec, GuardProgram), ArtifactError> {
-        let service = Spec::try_from(self.service.clone())?;
+        let service = Spec::try_from(&self.service)?;
         let parts = self
             .parts
             .iter()
-            .map(|doc| Spec::try_from(doc.clone()))
+            .map(Spec::try_from)
             .collect::<Result<Vec<Spec>, SpecError>>()?;
         let refs: Vec<&Spec> = parts.iter().collect();
         let prog = GuardProgram::new(&refs, &service)?;
@@ -636,6 +673,166 @@ mod tests {
         let mut b = bytes.clone();
         b.push(0);
         assert!(CompiledArtifact::decode(&b).is_err());
+    }
+
+    /// The encoder this one replaced, kept as an oracle: each spec goes
+    /// through an owned [`SpecDoc`], the header after the payload.
+    fn encode_via_docs(parts: &[&Spec], service: &Spec, prog: &GuardProgram) -> Vec<u8> {
+        fn put_doc(out: &mut Vec<u8>, doc: &SpecDoc) {
+            put_str(out, &doc.name);
+            out.extend_from_slice(&(doc.alphabet.len() as u32).to_be_bytes());
+            for name in &doc.alphabet {
+                put_str(out, name);
+            }
+            out.extend_from_slice(&(doc.states.len() as u32).to_be_bytes());
+            for name in &doc.states {
+                put_str(out, name);
+            }
+            out.extend_from_slice(&(doc.initial as u32).to_be_bytes());
+            out.extend_from_slice(&(doc.external.len() as u32).to_be_bytes());
+            for (from, event, to) in &doc.external {
+                out.extend_from_slice(&(*from as u32).to_be_bytes());
+                put_str(out, event);
+                out.extend_from_slice(&(*to as u32).to_be_bytes());
+            }
+            out.extend_from_slice(&(doc.internal.len() as u32).to_be_bytes());
+            for (from, to) in &doc.internal {
+                out.extend_from_slice(&(*from as u32).to_be_bytes());
+                out.extend_from_slice(&(*to as u32).to_be_bytes());
+            }
+        }
+        let mut payload = Vec::new();
+        put_doc(&mut payload, &SpecDoc::from(service));
+        payload.extend_from_slice(&(parts.len() as u32).to_be_bytes());
+        for part in parts {
+            put_doc(&mut payload, &SpecDoc::from(*part));
+        }
+        let t = prog.dfa_tables();
+        payload.extend_from_slice(&(t.nsym as u32).to_be_bytes());
+        payload.extend_from_slice(&t.dfa_initial.to_be_bytes());
+        payload.extend_from_slice(&(t.trans.len() as u64).to_be_bytes());
+        for &x in t.trans {
+            payload.extend_from_slice(&x.to_be_bytes());
+        }
+        payload.extend_from_slice(&(t.any_fail.len() as u64).to_be_bytes());
+        payload.extend(t.any_fail.iter().map(|&b| u8::from(b)));
+        payload.extend_from_slice(&(t.subset_size.len() as u64).to_be_bytes());
+        for &x in t.subset_size {
+            payload.extend_from_slice(&x.to_be_bytes());
+        }
+        match verdict_code(t.initial_verdict) {
+            None => payload.push(0),
+            Some((code, event)) => {
+                payload.push(code);
+                payload.extend_from_slice(&event.to_be_bytes());
+            }
+        }
+        let mut out = Vec::new();
+        out.extend_from_slice(&ARTIFACT_MAGIC);
+        out.extend_from_slice(&ARTIFACT_FORMAT.to_be_bytes());
+        out.extend_from_slice(&fnv1a(&payload).to_be_bytes());
+        out.extend_from_slice(&table_hash(prog.table()).to_be_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    /// Derived systems to encode: the paper's co-located configuration
+    /// (its symmetric one has no converter) and the `nfa_blowup` family
+    /// from 3 to `max_blowup`, each against the exactly-once service.
+    fn derived_systems(max_blowup: usize) -> Vec<(Vec<Spec>, Spec)> {
+        let service = exactly_once();
+        let paper = colocated_configuration();
+        let mut systems = vec![(paper.b, paper.int)];
+        systems.extend((3..=max_blowup).map(protoquot_protocols::families::nfa_blowup));
+        systems
+            .into_iter()
+            .map(|(b, int)| {
+                let q = solve(&b, &service, &int).expect("converter derives");
+                (vec![b, q.converter], service.clone())
+            })
+            .collect()
+    }
+
+    /// Encoding straight from the specs writes exactly the bytes of the
+    /// `SpecDoc` encoder, and those bytes still decode, instantiate and
+    /// admit. The seeded random components, which have internal moves,
+    /// are encoded alone against themselves as the service.
+    #[test]
+    fn spec_encoder_matches_the_doc_encoder() {
+        let mut systems = derived_systems(13);
+        for seed in 0..24u64 {
+            let (b, _) = protoquot_protocols::families::random_component(
+                seed * 7919 + 1,
+                protoquot_protocols::families::RandomParams::default(),
+            );
+            systems.push((vec![b.clone()], b));
+        }
+        for (parts, service) in &systems {
+            let refs: Vec<&Spec> = parts.iter().collect();
+            let prog = GuardProgram::new(&refs, service).expect("system compiles");
+            let bytes = encode_with_program(&refs, service, &prog);
+            let oracle = encode_via_docs(&refs, service, &prog);
+            assert!(bytes == oracle, "{}: encoders disagree", parts[0].name());
+
+            let art = CompiledArtifact::decode(&oracle).expect("decodes");
+            let (back, back_service, _) = art.instantiate().expect("instantiates");
+            assert_eq!(&back, parts);
+            assert_eq!(&back_service, service);
+            let dir = std::env::temp_dir().join(format!(
+                "protoquot-artifact-codec-{}-{}",
+                std::process::id(),
+                parts[0].name()
+            ));
+            let mut reg = crate::ConverterRegistry::open(&dir, service, 1).expect("opens");
+            reg.admit(&oracle).expect("admits");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A decode error names the field it stopped in, although the
+    /// labels are built only on failure: an `nfa_blowup` artifact cut
+    /// inside the converter's external transitions, and re-stamped so
+    /// the content hash passes, reports `part 1.external…`.
+    #[test]
+    fn truncation_errors_name_their_field() {
+        let (parts, service) = derived_systems(13).pop().unwrap();
+        let refs: Vec<&Spec> = parts.iter().collect();
+        let bytes = encode(&refs, &service).unwrap();
+        // Part 1 ends with its external section, then its internal one
+        // (a count and 8 bytes per edge); the parts are followed by the
+        // DFA tables.
+        let converter = &parts[1];
+        let ext_bytes: usize = 4 + converter
+            .external_transitions()
+            .map(|(_, e, _)| 12 + e.name().len())
+            .sum::<usize>();
+        let int_bytes = 4 + 8 * converter.num_internal();
+        let prog = GuardProgram::new(&refs, &service).unwrap();
+        let t = prog.dfa_tables();
+        let dfa_bytes = 8
+            + (8 + 4 * t.trans.len())
+            + (8 + t.any_fail.len())
+            + (8 + 4 * t.subset_size.len())
+            + match verdict_code(t.initial_verdict) {
+                None | Some((3, _)) => 1,
+                Some(_) => 3,
+            };
+        let ext_end = bytes.len() - dfa_bytes - int_bytes;
+        let torn = |cut: usize| {
+            let mut torn = bytes[..cut].to_vec();
+            let hash = fnv1a(&torn[24..]);
+            torn[8..16].copy_from_slice(&hash.to_be_bytes());
+            match CompiledArtifact::decode(&torn) {
+                Err(ArtifactError::Malformed(m)) => m,
+                other => panic!("a torn artifact must be malformed, got {other:?}"),
+            }
+        };
+        // Cut halfway, the count already cannot fit; cut inside the last
+        // transition's target, the read itself runs out.
+        let m = torn(ext_end - ext_bytes / 2);
+        assert!(m.starts_with("part 1.external: count"), "{m}");
+        let m = torn(ext_end - 3);
+        assert!(m.starts_with("truncated inside part 1.external.to:"), "{m}");
     }
 
     /// A payload flip that is *re-stamped* with a matching content hash

@@ -654,11 +654,15 @@ mod tests {
         let gw = gateway(cfg);
         let mut table = SessionTable::new();
         assert_eq!(
+            gw.call(&mut table, ev(&gw, 9, "acc")),
+            Reply::Accepted { session: 9 }
+        );
+        assert_eq!(
             gw.call(&mut table, Frame::Close { session: 9 }),
             Reply::Accepted { session: 9 }
         );
         assert_eq!(
-            gw.call(&mut table, ev(&gw, 9, "acc")),
+            gw.call(&mut table, ev(&gw, 9, "del")),
             rejected(9, RejectReason::Closed)
         );
         assert_eq!(gw.evict_idle(), 1);
@@ -765,15 +769,15 @@ mod tests {
             gw.call(&mut table, ev(&gw, 1, "del")),
             Reply::Accepted { session: 1 }
         );
-        // A close of a never-opened id passes the cap (as a closed
-        // session) and takes no slot.
+        // A close of a never-opened id is answered, opens nothing and
+        // takes no slot: the id is still a fresh session over the cap.
         assert_eq!(
             gw.call(&mut table, Frame::Close { session: 4 }),
             Reply::Accepted { session: 4 }
         );
         assert_eq!(
             gw.call(&mut table, ev(&gw, 4, "acc")),
-            rejected(4, RejectReason::Closed)
+            rejected(4, RejectReason::ResourceLimit)
         );
         assert_eq!(
             gw.call(&mut table, Frame::Close { session: 2 }),
@@ -788,8 +792,8 @@ mod tests {
             rejected(5, RejectReason::ResourceLimit)
         );
         let snap = gw.stats();
-        assert_eq!(snap.sessions_opened, 4);
-        assert!(snap.rejects.contains(&("resource_limit", 2)));
+        assert_eq!(snap.sessions_opened, 3);
+        assert!(snap.rejects.contains(&("resource_limit", 3)));
         assert_frames_conserved(&snap);
     }
 

@@ -151,8 +151,9 @@ pub struct GuardDfaTables<'a> {
 pub struct GuardProgram {
     table: Arc<EventTable>,
     comp: Arc<CompiledComposite>,
-    /// `τ*` bitset rows, `words` u64 words per composite state.
-    tau: Vec<u64>,
+    /// `τ*` bitset rows, `words` u64 words per composite state; shared
+    /// with registry admission's satisfaction check.
+    tau: Arc<Vec<u64>>,
     words: usize,
     norm: NormalSpec,
     /// Per-hub acceptance sets as bitsets over the event table.
@@ -175,6 +176,55 @@ pub struct GuardProgram {
     /// for every reachable state: sessions start convicted.
     initial_verdict: Option<Conviction>,
     build: GuardBuildStats,
+}
+
+/// A set of composite states as a bitset, the scratch of
+/// [`GuardProgram::determinize`]'s τ-closures.
+struct Marks {
+    words: Vec<u64>,
+}
+
+impl Marks {
+    fn new(n: usize) -> Marks {
+        Marks {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Marks `s`; false if it was marked already.
+    fn insert(&mut self, s: u32) -> bool {
+        let (w, bit) = ((s / 64) as usize, 1u64 << (s % 64));
+        let fresh = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        fresh
+    }
+
+    /// Unmarks the members of `set`.
+    fn clear(&mut self, set: &[u32]) {
+        for &s in set {
+            self.words[(s / 64) as usize] = 0;
+        }
+    }
+
+    /// Sorts `set`, whose members are exactly the marked states, and
+    /// unmarks them. A set with more than one member per 64 states is
+    /// read back off the bitset in order, which is linear; smaller ones
+    /// are sorted.
+    fn drain_sorted(&mut self, set: &mut Vec<u32>) {
+        if set.len() > self.words.len() {
+            set.clear();
+            for (w, word) in self.words.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    set.push(w as u32 * 64 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            set.sort_unstable();
+            self.clear(set);
+        }
+    }
 }
 
 /// The DFA states found so far by [`GuardProgram::determinize`]: state
@@ -232,7 +282,7 @@ impl GuardProgram {
     pub fn new(parts: &[&Spec], service: &Spec) -> Result<GuardProgram, SpecError> {
         let CompiledSystem { table, comp } = compile_system(parts, service)?;
         let words = table.words();
-        let tau = tau_star_rows(&comp, words);
+        let tau = Arc::new(tau_star_rows(&comp, words));
         let norm = normalize(service);
         let acc = (0..norm.num_hubs())
             .map(|h| {
@@ -271,27 +321,22 @@ impl GuardProgram {
         let nsym = self.table.len();
         let comp = &*self.comp;
 
-        // Scratch for τ-closures and per-event ext steps.
-        let mut seen = vec![false; comp.n];
-        let tau_close = |set: &mut Vec<u32>, seen: &mut [bool]| {
-            for &s in set.iter() {
-                seen[s as usize] = true;
-            }
+        // Scratch for τ-closures and per-event ext steps. `tau_close`
+        // takes a set whose members are distinct and already marked,
+        // and leaves it τ-closed and sorted, with no state marked.
+        let mut seen = Marks::new(comp.n);
+        let tau_close = |set: &mut Vec<u32>, seen: &mut Marks| {
             let mut i = 0;
             while i < set.len() {
                 let s = set[i] as usize;
                 for &t in &comp.int_tgt[comp.int_off[s] as usize..comp.int_off[s + 1] as usize] {
-                    if !seen[t as usize] {
-                        seen[t as usize] = true;
+                    if seen.insert(t) {
                         set.push(t);
                     }
                 }
                 i += 1;
             }
-            set.sort_unstable();
-            for &s in set.iter() {
-                seen[s as usize] = false;
-            }
+            seen.drain_sorted(set);
         };
 
         let mut dfa = DfaStates {
@@ -303,6 +348,7 @@ impl GuardProgram {
             work: Vec::new(),
         };
         let mut initial = vec![comp.initial];
+        seen.insert(comp.initial);
         tau_close(&mut initial, &mut seen);
         let initial_hub = self.norm.initial_hub() as u32;
         let dfa_initial = dfa.intern(&initial, initial_hub);
@@ -360,20 +406,19 @@ impl GuardProgram {
             for ev in 0..nsym {
                 next.clear();
                 for &t in &bucket[start[ev] as usize..start[ev + 1] as usize] {
-                    if !seen[t as usize] {
-                        seen[t as usize] = true;
+                    if seen.insert(t) {
                         next.push(t);
                     }
-                }
-                for &t in next.iter() {
-                    seen[t as usize] = false;
                 }
                 trans[row + ev] = if next.is_empty() {
                     T_NOT_A_TRACE
                 } else {
                     let eid = self.table.events[ev];
                     match self.norm.step(hub as usize, eid) {
-                        None => T_SERVICE_VIOLATION,
+                        None => {
+                            seen.clear(&next);
+                            T_SERVICE_VIOLATION
+                        }
                         Some(next_hub) => {
                             tau_close(&mut next, &mut seen);
                             if self.all_fail(&next, next_hub) {
@@ -426,6 +471,12 @@ impl GuardProgram {
     /// ([`protoquot_spec::verify_compiled`]).
     pub(crate) fn composite(&self) -> &Arc<CompiledComposite> {
         &self.comp
+    }
+
+    /// The `τ*` rows of [`Self::composite`], so admission's check does
+    /// not compute them again.
+    pub(crate) fn tau_rows(&self) -> &Arc<Vec<u64>> {
+        &self.tau
     }
 
     /// ψ-hubs of the normalized service.

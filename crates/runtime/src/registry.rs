@@ -15,7 +15,8 @@
 //!    registry's, and [`protoquot_spec::verify_compiled`] must re-prove
 //!    that the system satisfies it, on the composite the rebuilt guard
 //!    itself runs on (compiled once, by
-//!    [`protoquot_spec::compile_system`]). A converter that would
+//!    [`protoquot_spec::compile_system`]) with the `τ*` rows the guard
+//!    already holds. A converter that would
 //!    convict honest traffic can never go live, no matter what its
 //!    artifact claims.
 //!
@@ -204,7 +205,13 @@ impl ConverterRegistry {
         // The refinement re-check: the system must still satisfy the
         // unchanged contract, proven by the same engine that admitted
         // the original derivation, on the very composite the guard runs.
-        let verdict = verify_compiled(prog.composite(), prog.table(), &self.service, self.threads)?;
+        let verdict = verify_compiled(
+            prog.composite(),
+            prog.table(),
+            prog.tau_rows(),
+            &self.service,
+            self.threads,
+        )?;
         if let Err(violation) = &verdict.verdict {
             return Err(RegistryError::Refused(format!(
                 "system does not satisfy `{}`: {violation}",

@@ -80,7 +80,15 @@ impl Sessions {
         let session = match self.map.entry(id) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                if cap > 0 && open >= cap && !matches!(frame, Frame::Close { .. }) {
+                // A `Close` on an id this connection holds no session
+                // under has nothing to release, so it opens nothing:
+                // otherwise fresh-id closes would grow the table past
+                // the cap, since closed sessions do not count against it.
+                if let Frame::Close { .. } = frame {
+                    t.control += 1;
+                    return Reply::Accepted { session: id };
+                }
+                if cap > 0 && open >= cap {
                     return t.reject(id, RejectReason::ResourceLimit);
                 }
                 e.insert(gateway.open_session(programs, now, t))

@@ -216,11 +216,31 @@ enum EdgeKind {
     Shared(u32),
 }
 
+#[derive(Clone, Copy)]
 struct PartEdge {
     e: EventId,
     kind: EdgeKind,
     tgt: u32,
 }
+
+/// One component's external edges, pre-classified, in CSR form: state
+/// `s` owns `edges[off[s]..off[s + 1]]`, in the spec's stored order.
+struct PartEdges {
+    off: Vec<u32>,
+    edges: Vec<PartEdge>,
+}
+
+impl PartEdges {
+    fn of(&self, s: u32) -> &[PartEdge] {
+        &self.edges[self.off[s as usize] as usize..self.off[s as usize + 1] as usize]
+    }
+}
+
+/// Largest `Π|P_i|` for which compiling the composite of components
+/// `P_i` ([`crate::compile_composite`]) looks state tuples up in a
+/// direct table of `Π|P_i|` `u32`s (4 MiB at the cap) instead of
+/// hashing them.
+pub const DENSE_INDEX_CAP: usize = 1 << 20;
 
 /// N-way reachable product exploration.
 ///
@@ -243,7 +263,8 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
     debug_assert!(np >= 1);
     let last = np - 1;
 
-    // Owners per event (at most two by the caller's check).
+    // Owners per event (at most two by the caller's check), and how an
+    // edge on the event of component `i` joins the composite.
     let mut owners: HashMap<EventId, (usize, usize)> = HashMap::new();
     for (i, p) in parts.iter().enumerate() {
         for e in p.alphabet().iter() {
@@ -253,33 +274,41 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
                 .or_insert((i, usize::MAX));
         }
     }
-
-    // Pre-classified edge lists, aligned with each spec's stored order.
-    let part_edges: Vec<Vec<Vec<PartEdge>>> = parts
+    let kind = |e: EventId, i: usize| {
+        let (lo, hi) = owners[&e];
+        if hi == usize::MAX {
+            EdgeKind::Solo(tbl.idx(e))
+        } else {
+            EdgeKind::Shared(if lo == i { hi as u32 } else { lo as u32 })
+        }
+    };
+    let part_edges: Vec<PartEdges> = parts
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            (0..p.num_states())
-                .map(|s| {
-                    p.external_from(StateId(s as u32))
-                        .iter()
-                        .map(|&(e, t)| {
-                            let (lo, hi) = owners[&e];
-                            let kind = if hi == usize::MAX {
-                                EdgeKind::Solo(tbl.idx(e))
-                            } else {
-                                EdgeKind::Shared(if lo == i { hi as u32 } else { lo as u32 })
-                            };
-                            PartEdge { e, kind, tgt: t.0 }
-                        })
-                        .collect()
-                })
-                .collect()
+            // Each alphabet event classified once, in id order.
+            let kinds: Vec<(EventId, EdgeKind)> =
+                p.alphabet().iter().map(|e| (e, kind(e, i))).collect();
+            let mut off = Vec::with_capacity(p.num_states() + 1);
+            let mut edges = Vec::with_capacity(p.num_external());
+            off.push(0);
+            for s in p.states() {
+                for &(e, t) in p.external_from(s) {
+                    let kind = match kinds.binary_search_by_key(&e, |k| k.0) {
+                        Ok(k) => kinds[k].1,
+                        Err(_) => kind(e, i),
+                    };
+                    edges.push(PartEdge { e, kind, tgt: t.0 });
+                }
+                off.push(edges.len() as u32);
+            }
+            PartEdges { off, edges }
         })
         .collect();
 
+    let sizes: Vec<usize> = parts.iter().map(|p| p.num_states()).collect();
     let mut x = Explorer {
-        intern: TupleInterner::new(np, parts.iter().map(|p| p.num_states()).sum()),
+        intern: TupleInterner::new(&sizes),
         cand: vec![0; np],
         work: vec![0],
         dedup_hits: 0,
@@ -298,14 +327,14 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
         // synchronisations with the last component, interleaved in each
         // component's stored edge order.
         for i in 0..np {
-            for pe in &part_edges[i][cur[i] as usize] {
+            for pe in part_edges[i].of(cur[i]) {
                 match pe.kind {
                     EdgeKind::Solo(ev) => {
                         let to = x.reach(&cur, i, pe.tgt, None);
                         ext_edges.push((id, ev, to));
                     }
                     EdgeKind::Shared(other) if other as usize == last && i != last => {
-                        for qe in &part_edges[last][cur[last] as usize] {
+                        for qe in part_edges[last].of(cur[last]) {
                             if qe.e == pe.e {
                                 let to = x.reach(&cur, i, pe.tgt, Some((last, qe.tgt)));
                                 int_edges.push((id, to));
@@ -319,10 +348,10 @@ pub(crate) fn build_nway(parts: &[&Spec], tbl: &EventTable) -> CompiledComposite
         // Phase B: inner fold levels' synchronisations, level descending.
         for k in (1..last).rev() {
             for i in 0..k {
-                for pe in &part_edges[i][cur[i] as usize] {
+                for pe in part_edges[i].of(cur[i]) {
                     if let EdgeKind::Shared(other) = pe.kind {
                         if other as usize == k {
-                            for qe in &part_edges[k][cur[k] as usize] {
+                            for qe in part_edges[k].of(cur[k]) {
                                 if qe.e == pe.e {
                                     let to = x.reach(&cur, i, pe.tgt, Some((k, qe.tgt)));
                                     int_edges.push((id, to));
@@ -391,38 +420,75 @@ impl Explorer {
     }
 }
 
-/// Slot sentinel of [`TupleInterner`].
-const EMPTY_SLOT: u32 = u32::MAX;
+/// Slot sentinel of [`TupleInterner`]; a full slot holds `id + 1`, so
+/// a fresh table is all zeroes.
+const EMPTY_SLOT: u32 = 0;
 
-/// Open-addressing intern table over a flat arena of fixed-width `u32`
-/// tuples: id `k` owns `arena[k * width..(k + 1) * width]`, and each
-/// slot holds an id or [`EMPTY_SLOT`]. Linear probing, at most half
-/// full; the slot is the top bits of a multiplicative hash.
-///
-/// Ids are handed out in first-intern order, so slot placement never
-/// shows in the result. The hash starts from a per-table random seed:
-/// specs can arrive from outside the program (registry admission), and
-/// a fixed hash would let crafted state tuples collide on purpose.
+/// How [`TupleInterner`] finds the slot of a tuple.
+enum Lookup {
+    /// `slots` has one entry per tuple of the full product, at
+    /// `Σ t_i · stride[i]`: no hashing and no key comparison. Used
+    /// while `Π|P_i|` is at most [`DENSE_INDEX_CAP`]; the table is
+    /// allocated zeroed and filled lazily, so pages no reachable tuple
+    /// lands on are never touched.
+    Dense { stride: Vec<usize> },
+    /// Open addressing with linear probing, at most half full; the home
+    /// slot is the top bits of a multiplicative hash. The hash starts
+    /// from a per-table random seed: specs can arrive from outside the
+    /// program (registry admission), and a fixed hash would let crafted
+    /// state tuples collide on purpose.
+    Hashed {
+        /// `64 - log2(slots.len())`.
+        shift: u32,
+        seed: u64,
+    },
+}
+
+/// Intern table over a flat arena of fixed-width `u32` tuples: id `k`
+/// owns `arena[k * width..(k + 1) * width]`, and each slot holds
+/// `id + 1` or [`EMPTY_SLOT`]. Ids are handed out in first-intern
+/// order, so the index never shows in the result.
 struct TupleInterner {
     width: usize,
     arena: Vec<u32>,
     slots: Vec<u32>,
-    /// `64 - log2(slots.len())`.
-    shift: u32,
-    seed: u64,
+    lookup: Lookup,
 }
 
 impl TupleInterner {
-    /// An empty table of `expect` slots (rounded up to a power of
-    /// two), first grown past `expect / 2` tuples.
-    fn new(width: usize, expect: usize) -> TupleInterner {
-        let cap = expect.next_power_of_two().max(16);
+    /// An empty table for tuples over components of `sizes` states:
+    /// dense when their product is at most [`DENSE_INDEX_CAP`], else
+    /// hashed with one slot per component state (rounded up to a power
+    /// of two), first grown past half of that.
+    fn new(sizes: &[usize]) -> TupleInterner {
+        let width = sizes.len();
+        let expect: usize = sizes.iter().sum();
+        let product = sizes
+            .iter()
+            .try_fold(1usize, |acc, &s| acc.checked_mul(s))
+            .filter(|&p| p <= DENSE_INDEX_CAP);
+        let (slots, lookup) = match product {
+            Some(p) => {
+                let mut stride = vec![1usize; width];
+                for i in (0..width.saturating_sub(1)).rev() {
+                    stride[i] = stride[i + 1] * sizes[i + 1];
+                }
+                (vec![EMPTY_SLOT; p], Lookup::Dense { stride })
+            }
+            None => {
+                let cap = expect.next_power_of_two().max(16);
+                let lookup = Lookup::Hashed {
+                    shift: 64 - cap.trailing_zeros(),
+                    seed: RandomState::new().hash_one(width),
+                };
+                (vec![EMPTY_SLOT; cap], lookup)
+            }
+        };
         TupleInterner {
             width,
             arena: Vec::with_capacity(expect * width),
-            slots: vec![EMPTY_SLOT; cap],
-            shift: 64 - cap.trailing_zeros(),
-            seed: RandomState::new().hash_one(width),
+            slots,
+            lookup,
         }
     }
 
@@ -435,48 +501,70 @@ impl TupleInterner {
         &self.arena[at..at + self.width]
     }
 
-    fn home(&self, t: &[u32]) -> usize {
-        let mut h = self.seed;
+    fn home(&self, t: &[u32], shift: u32, seed: u64) -> usize {
+        let mut h = seed;
         for &w in t {
             h = (h.rotate_left(5) ^ u64::from(w)).wrapping_mul(0x517c_c1b7_2722_0a95);
         }
-        (h >> self.shift) as usize
+        (h >> shift) as usize
+    }
+
+    /// The id of `t`, or the empty slot where it goes.
+    fn find(&self, t: &[u32]) -> Result<u32, usize> {
+        let (shift, seed) = match &self.lookup {
+            Lookup::Dense { stride } => {
+                let at: usize = t.iter().zip(stride).map(|(&x, &s)| x as usize * s).sum();
+                return match self.slots[at] {
+                    EMPTY_SLOT => Err(at),
+                    slot => Ok(slot - 1),
+                };
+            }
+            &Lookup::Hashed { shift, seed } => (shift, seed),
+        };
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(t, shift, seed);
+        loop {
+            let slot = self.slots[i];
+            if slot == EMPTY_SLOT {
+                return Err(i);
+            }
+            if self.get(slot - 1) == t {
+                return Ok(slot - 1);
+            }
+            i = (i + 1) & mask;
+        }
     }
 
     /// The id of `t`, interning it first if it is new (`true`).
     fn intern(&mut self, t: &[u32]) -> (u32, bool) {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(t);
-        loop {
-            let id = self.slots[i];
-            if id == EMPTY_SLOT {
-                break;
-            }
-            if self.get(id) == t {
-                return (id, false);
-            }
-            i = (i + 1) & mask;
-        }
+        let at = match self.find(t) {
+            Ok(id) => return (id, false),
+            Err(at) => at,
+        };
         let id = self.len() as u32;
         self.arena.extend_from_slice(t);
-        self.slots[i] = id;
-        if 2 * self.len() > self.slots.len() {
+        self.slots[at] = id + 1;
+        if matches!(self.lookup, Lookup::Hashed { .. }) && 2 * self.len() > self.slots.len() {
             self.grow();
         }
         (id, true)
     }
 
-    /// Doubles the slot array and re-inserts every id.
+    /// Doubles the hashed slot array and re-inserts every id.
     fn grow(&mut self) {
+        let Lookup::Hashed { shift, seed } = &mut self.lookup else {
+            unreachable!("only the hashed table grows");
+        };
+        *shift -= 1;
+        let (shift, seed) = (*shift, *seed);
         self.slots = vec![EMPTY_SLOT; self.slots.len() * 2];
-        self.shift -= 1;
         let mask = self.slots.len() - 1;
         for id in 0..self.len() as u32 {
-            let mut i = self.home(self.get(id));
+            let mut i = self.home(self.get(id), shift, seed);
             while self.slots[i] != EMPTY_SLOT {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = id;
+            self.slots[i] = id + 1;
         }
     }
 }
@@ -523,22 +611,25 @@ fn csr_int(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
 /// `τ*` rows for every composite state: the externally offered events
 /// after any number of internal moves, as bitsets over the event table.
 ///
-/// One iterative Tarjan pass over the internal graph, then a reverse
-/// topological DP over the SCC DAG — linear in the composite instead of
-/// the reference's per-state DFS.
+/// One iterative Tarjan pass over the internal graph, linear in the
+/// composite instead of the reference's per-state DFS. SCCs complete
+/// successors first, so each SCC's row is computed as it completes:
+/// its members' own events plus the rows of the states its members
+/// reach in SCCs already complete.
 pub fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
     let n = comp.n;
     const UNVISITED: u32 = u32::MAX;
     let mut index = vec![UNVISITED; n];
     let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
+    // The SCC of a visited state, or UNVISITED while it is on the stack.
     let mut scc_of = vec![UNVISITED; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut frames: Vec<(u32, u32)> = Vec::new();
-    // SCC `c` is `members[scc_start[c]..scc_start[c + 1]]`.
-    let mut members: Vec<u32> = Vec::with_capacity(n);
-    let mut scc_start: Vec<u32> = vec![0];
+    let mut members: Vec<u32> = Vec::new();
+    let mut acc = vec![0u64; words];
+    let mut rows = vec![0u64; n * words];
     let mut next_index = 0u32;
+    let mut next_scc = 0u32;
 
     for root in 0..n as u32 {
         if index[root as usize] != UNVISITED {
@@ -548,7 +639,6 @@ pub fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
         low[root as usize] = next_index;
         next_index += 1;
         stack.push(root);
-        on_stack[root as usize] = true;
         frames.push((root, 0));
         while let Some(frame) = frames.last_mut() {
             let v = frame.0;
@@ -564,63 +654,51 @@ pub fn tau_star_rows(comp: &CompiledComposite, words: usize) -> Vec<u64> {
                     low[ws] = next_index;
                     next_index += 1;
                     stack.push(w);
-                    on_stack[ws] = true;
                     frames.push((w, 0));
-                } else if on_stack[ws] {
+                } else if scc_of[ws] == UNVISITED {
                     low[s] = low[s].min(index[ws]);
                 }
-            } else {
-                frames.pop();
-                if let Some(parent) = frames.last() {
-                    let p = parent.0 as usize;
-                    low[p] = low[p].min(low[s]);
+                continue;
+            }
+            frames.pop();
+            if let Some(parent) = frames.last() {
+                let p = parent.0 as usize;
+                low[p] = low[p].min(low[s]);
+            }
+            if low[s] != index[s] {
+                continue;
+            }
+            members.clear();
+            loop {
+                let w = stack.pop().expect("Tarjan stack underflow");
+                scc_of[w as usize] = next_scc;
+                members.push(w);
+                if w == v {
+                    break;
                 }
-                if low[s] == index[s] {
-                    let scc = scc_start.len() as u32 - 1;
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        scc_of[w as usize] = scc;
-                        members.push(w);
-                        if w == v {
-                            break;
+            }
+            acc.fill(0);
+            for &m in &members {
+                let m = m as usize;
+                for &ev in &comp.ext_ev[comp.ext_off[m] as usize..comp.ext_off[m + 1] as usize] {
+                    set_bit(&mut acc, ev);
+                }
+                for &t in &comp.int_tgt[comp.int_off[m] as usize..comp.int_off[m + 1] as usize] {
+                    let t = t as usize;
+                    if scc_of[t] != next_scc {
+                        debug_assert!(scc_of[t] < next_scc, "successor SCC must complete first");
+                        for (a, r) in acc.iter_mut().zip(&rows[t * words..(t + 1) * words]) {
+                            *a |= r;
                         }
                     }
-                    scc_start.push(members.len() as u32);
                 }
             }
-        }
-    }
-
-    // SCCs complete successors-first, so a single ascending pass is the
-    // reverse topological DP.
-    let nscc = scc_start.len() - 1;
-    let mut scc_bits = vec![0u64; nscc * words];
-    let mut acc = vec![0u64; words];
-    for ci in 0..nscc {
-        acc.iter_mut().for_each(|w| *w = 0);
-        for &s in &members[scc_start[ci] as usize..scc_start[ci + 1] as usize] {
-            let su = s as usize;
-            for k in comp.ext_off[su] as usize..comp.ext_off[su + 1] as usize {
-                set_bit(&mut acc, comp.ext_ev[k]);
+            for &m in &members {
+                let m = m as usize;
+                rows[m * words..(m + 1) * words].copy_from_slice(&acc);
             }
-            for k in comp.int_off[su] as usize..comp.int_off[su + 1] as usize {
-                let cj = scc_of[comp.int_tgt[k] as usize] as usize;
-                if cj != ci {
-                    debug_assert!(cj < ci, "successor SCC must complete first");
-                    for w in 0..words {
-                        acc[w] |= scc_bits[cj * words + w];
-                    }
-                }
-            }
+            next_scc += 1;
         }
-        scc_bits[ci * words..(ci + 1) * words].copy_from_slice(&acc);
-    }
-
-    let mut rows = vec![0u64; n * words];
-    for s in 0..n {
-        let ci = scc_of[s] as usize;
-        rows[s * words..(s + 1) * words].copy_from_slice(&scc_bits[ci * words..(ci + 1) * words]);
     }
     rows
 }

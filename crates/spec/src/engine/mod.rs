@@ -35,7 +35,7 @@ use product::run_product;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-pub use compiled::{tau_star_rows, CompiledComposite, EventTable};
+pub use compiled::{tau_star_rows, CompiledComposite, EventTable, DENSE_INDEX_CAP};
 
 /// Compiles `P_0 ‖ … ‖ P_{n-1}` into CSR form over `tbl`.
 ///
@@ -184,21 +184,30 @@ pub fn verify_system(
     Ok(check_product(
         Arc::new(sys.comp),
         &sys.table,
+        None,
         service,
         threads,
     ))
 }
 
 /// The product check of [`verify_system`] (safety, then progress) on a
-/// composite compiled earlier, e.g. by [`compile_system`]. `table` must
-/// be the event table of `service`'s alphabet, and `comp` compiled over
-/// it; a table over another alphabet is an interface mismatch.
+/// composite compiled earlier, e.g. by [`compile_system`], whose `τ*`
+/// rows were computed earlier too: `tau` must be
+/// [`tau_star_rows`]`(comp, table.words())`. `table` must be the event
+/// table of `service`'s alphabet, and `comp` compiled over it; a table
+/// over another alphabet is an interface mismatch.
 pub fn verify_compiled(
     comp: &Arc<CompiledComposite>,
     table: &EventTable,
+    tau: &Arc<Vec<u64>>,
     service: &Spec,
     threads: usize,
 ) -> Result<EngineVerdict, SpecError> {
+    assert_eq!(
+        tau.len(),
+        comp.n * table.words(),
+        "verify_compiled needs the composite's tau* rows"
+    );
     if table.events != EventTable::new(service.alphabet()).events {
         let iface: Alphabet = table.events.iter().copied().collect();
         return Err(SpecError::InterfaceMismatch {
@@ -206,18 +215,27 @@ pub fn verify_compiled(
             right: format!("{}", service.alphabet()),
         });
     }
-    Ok(check_product(Arc::clone(comp), table, service, threads))
+    Ok(check_product(
+        Arc::clone(comp),
+        table,
+        Some(Arc::clone(tau)),
+        service,
+        threads,
+    ))
 }
 
+/// The product check; `tau` is the composite's `τ*` rows if a caller
+/// already holds them, else they are computed once safety has passed.
 fn check_product(
     comp: Arc<CompiledComposite>,
     tbl: &EventTable,
+    tau: Option<Arc<Vec<u64>>>,
     service: &Spec,
     threads: usize,
 ) -> EngineVerdict {
     let threads = threads.max(1);
     let norm = Arc::new(compile_normal(service, tbl));
-    let outcome = run_product(Arc::clone(&comp), Arc::clone(&norm), tbl, threads);
+    let outcome = run_product(Arc::clone(&comp), Arc::clone(&norm), tbl, tau, threads);
     EngineVerdict {
         verdict: outcome.verdict,
         stats: VerifyEngineStats {
@@ -451,8 +469,9 @@ mod tests {
         let service = alternator("svc", "acc", "del");
         let (a, b) = (alternator("A", "acc", "x"), alternator("B", "x", "del"));
         let sys = compile_system(&[&a, &b], &service).unwrap();
+        let tau = Arc::new(tau_star_rows(&sys.comp, sys.table.words()));
         let comp = Arc::new(sys.comp);
-        let compiled = verify_compiled(&comp, &sys.table, &service, 1).unwrap();
+        let compiled = verify_compiled(&comp, &sys.table, &tau, &service, 1).unwrap();
         let direct = verify_system(&[&a, &b], &service, 1).unwrap();
         assert_eq!(
             format!("{:?}", compiled.verdict),
@@ -462,7 +481,7 @@ mod tests {
         // A table over another alphabet is an interface mismatch.
         let other = alternator("other", "acc", "out");
         assert!(matches!(
-            verify_compiled(&comp, &sys.table, &other, 1),
+            verify_compiled(&comp, &sys.table, &tau, &other, 1),
             Err(SpecError::InterfaceMismatch { .. })
         ));
     }

@@ -39,7 +39,10 @@ struct Frontier {
 
 fn try_mark(seen: &[AtomicU64], p: u64) -> bool {
     let bit = 1u64 << (p % 64);
-    seen[(p / 64) as usize].fetch_or(bit, Ordering::Relaxed) & bit == 0
+    let word = &seen[(p / 64) as usize];
+    // A plain load answers the pairs already seen without a
+    // read-modify-write.
+    word.load(Ordering::Relaxed) & bit == 0 && word.fetch_or(bit, Ordering::Relaxed) & bit == 0
 }
 
 /// Marks the unseen successors of pair `p` and appends them to `out`.
@@ -216,6 +219,7 @@ pub(crate) fn run_product(
     comp: Arc<CompiledComposite>,
     norm: Arc<CompiledNormal>,
     tbl: &EventTable,
+    tau: Option<Arc<Vec<u64>>>,
     threads: usize,
 ) -> ProductOutcome {
     let threads = threads.max(1);
@@ -273,7 +277,7 @@ pub(crate) fn run_product(
     // Progress: some acceptance set of the hub must be offered (τ*) by
     // the composite state, for every reachable pair.
     let words = norm.words;
-    let tau = Arc::new(tau_star_rows(&comp, words));
+    let tau = tau.unwrap_or_else(|| Arc::new(tau_star_rows(&comp, words)));
     let any_fail = if threads == 1 {
         progress_scan_range(&norm, &frontier.seen, &tau, 0, total)
     } else {

@@ -81,7 +81,7 @@ pub use dot::{to_dot, to_text};
 pub use engine::{
     compile_composite, compile_system, compose_all_nway, satisfies_engine, tau_star_rows,
     verify_compiled, verify_system, CompiledComposite, CompiledSystem, EngineVerdict, EventTable,
-    VerifyEngineStats,
+    VerifyEngineStats, DENSE_INDEX_CAP,
 };
 pub use error::SpecError;
 pub use event::{Alphabet, EventId};

@@ -5,7 +5,7 @@
 use crate::event::{Alphabet, EventId};
 use crate::spec::{spec_from_parts, Spec, StateId};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The serialized form of a [`Spec`].
 #[derive(Clone, Debug, PartialEq)]
@@ -49,23 +49,50 @@ impl From<&Spec> for SpecDoc {
 impl TryFrom<SpecDoc> for Spec {
     type Error = crate::error::SpecError;
 
-    fn try_from(doc: SpecDoc) -> Result<Spec, Self::Error> {
-        let alphabet: Alphabet = doc.alphabet.iter().map(|n| EventId::new(n)).collect();
-        spec_from_parts(
-            doc.name,
-            alphabet,
-            doc.states,
-            StateId(doc.initial as u32),
-            doc.external
-                .into_iter()
-                .map(|(s, e, t)| (StateId(s as u32), EventId::new(&e), StateId(t as u32)))
-                .collect(),
-            doc.internal
-                .into_iter()
-                .map(|(s, t)| (StateId(s as u32), StateId(t as u32)))
-                .collect(),
-        )
+    fn try_from(mut doc: SpecDoc) -> Result<Spec, Self::Error> {
+        let name = std::mem::take(&mut doc.name);
+        let states = std::mem::take(&mut doc.states);
+        spec_from_doc(&doc, name, states)
     }
+}
+
+impl TryFrom<&SpecDoc> for Spec {
+    type Error = crate::error::SpecError;
+
+    fn try_from(doc: &SpecDoc) -> Result<Spec, Self::Error> {
+        spec_from_doc(doc, doc.name.clone(), doc.states.clone())
+    }
+}
+
+/// Builds the spec `doc` describes, named `name` with states `states`
+/// (taken from `doc` by the caller). Each alphabet name is interned
+/// once; a transition finds its event among them by name.
+fn spec_from_doc(
+    doc: &SpecDoc,
+    name: String,
+    states: Vec<String>,
+) -> Result<Spec, crate::error::SpecError> {
+    let ids: HashMap<&str, EventId> = doc
+        .alphabet
+        .iter()
+        .map(|n| (n.as_str(), EventId::new(n)))
+        .collect();
+    let alphabet: Alphabet = ids.values().copied().collect();
+    let event = |n: &str| ids.get(n).copied().unwrap_or_else(|| EventId::new(n));
+    spec_from_parts(
+        name,
+        alphabet,
+        states,
+        StateId(doc.initial as u32),
+        doc.external
+            .iter()
+            .map(|(s, e, t)| (StateId(*s as u32), event(e), StateId(*t as u32)))
+            .collect(),
+        doc.internal
+            .iter()
+            .map(|&(s, t)| (StateId(s as u32), StateId(t as u32)))
+            .collect(),
+    )
 }
 
 // The vendored serde shim has no derive macros, so SpecDoc's

@@ -8,7 +8,7 @@
 
 use crate::error::SpecError;
 use crate::event::{Alphabet, EventId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Index of a state within one [`Spec`].
@@ -373,14 +373,23 @@ pub fn spec_from_parts(
     internal: Vec<(StateId, StateId)>,
 ) -> Result<Spec, SpecError> {
     let mut b = SpecBuilder::new(&name);
-    for label in &state_names {
-        // Synthesised state labels may repeat textually; disambiguate by
-        // index so lookups still work on the primary occurrence.
-        if b.state_index.contains_key(label) {
-            let fresh = format!("{label}#{}", b.state_names.len());
-            b.state(&fresh);
-        } else {
-            b.state(label);
+    let distinct = {
+        let mut labels = HashSet::with_capacity(state_names.len());
+        state_names.iter().all(|l| labels.insert(l.as_str()))
+    };
+    if distinct {
+        // Distinct labels, the usual case, are kept as they come.
+        b.state_names = state_names;
+    } else {
+        for label in &state_names {
+            // Synthesised state labels may repeat textually; disambiguate
+            // by index so lookups still work on the primary occurrence.
+            if b.state_index.contains_key(label) {
+                let fresh = format!("{label}#{}", b.state_names.len());
+                b.state(&fresh);
+            } else {
+                b.state(label);
+            }
         }
     }
     b.alphabet = alphabet;
@@ -514,6 +523,31 @@ mod tests {
         let s = b.build().unwrap();
         assert!(s.alphabet().contains(EventId::new("phantom")));
         assert_eq!(s.num_external(), 0);
+    }
+
+    #[test]
+    fn spec_from_parts_keeps_distinct_labels_and_renames_repeats() {
+        let build = |labels: &[&str]| {
+            spec_from_parts(
+                "p".into(),
+                Alphabet::new(),
+                labels.iter().map(|l| l.to_string()).collect(),
+                StateId(0),
+                vec![],
+                vec![(StateId(0), StateId(1))],
+            )
+            .unwrap()
+        };
+        let names = |s: &Spec| {
+            s.states()
+                .map(|i| s.state_name(i).to_owned())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&build(&["a", "b", "c"])), ["a", "b", "c"]);
+        let repeated = build(&["a", "a", "b"]);
+        assert_eq!(names(&repeated), ["a", "a#1", "b"]);
+        assert_eq!(repeated.state_by_name("a"), Some(StateId(0)));
+        assert_eq!(repeated.internal_from(StateId(0)), &[StateId(1)]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use protoquot_core::solve;
 use protoquot_protocols::{colocated_configuration, exactly_once};
 use protoquot_runtime::{
     adversarial, table_hash, AdversarialConfig, Conn, ConnLimits, Frame, Gateway, GatewayConfig,
-    ReactorConfig, ReactorServer, StatsSnapshot, TcpConn, TcpServer,
+    ReactorConfig, ReactorServer, RejectReason, Reply, StatsSnapshot, TcpConn, TcpServer,
 };
 use protoquot_spec::{EventTable, Spec};
 use std::io::{Read, Write};
@@ -211,13 +211,17 @@ fn session_flood_is_evicted_not_stalled_at_any_worker_count() {
                 .expect("flood frame must be answered, not stalled");
             assert_eq!(reply.session(), s, "reply misattributed");
         }
-        // Close the admitted ones so the accounting is settled.
+        // Close every id so the accounting is settled: the 8 admitted
+        // sessions close, and the 56 closes on ids the cap refused find
+        // no session and open none.
         for s in 0..64u64 {
             conn.call(&Frame::Close { session: s })
                 .expect("close must be answered");
         }
         server.stop();
-        stats.push(deterministic_stats(&gw.stats()));
+        let snap = gw.stats();
+        common::assert_stats_conserved("session flood", &snap);
+        stats.push(deterministic_stats(&snap));
     }
     assert_eq!(
         stats[0], stats[1],
@@ -228,6 +232,85 @@ fn session_flood_is_evicted_not_stalled_at_any_worker_count() {
         "cap overflow must bounce with resource_limit: {}",
         stats[0]
     );
+    assert!(
+        stats[0].starts_with("opened=8 closed=8 "),
+        "only the 8 admitted sessions may open: {}",
+        stats[0]
+    );
+}
+
+/// A `Close` on an id the connection never opened creates no session:
+/// however many arrive, each is answered `accepted` and counted as a
+/// control frame, the connection's table stays empty, and the
+/// per-connection session cap still admits its full quota afterwards.
+/// A session that did exist keeps bouncing later frames as `closed`.
+#[test]
+fn closes_on_unopened_ids_open_no_session() {
+    let (components, service) = derived_system();
+    let gw = gateway(&components, &service, GatewayConfig::default());
+    let mut server = ReactorServer::bind(
+        gw.clone(),
+        "127.0.0.1:0",
+        ReactorConfig {
+            loops: 1,
+            limits: ConnLimits {
+                max_sessions_per_conn: 8,
+                ..ConnLimits::default()
+            },
+            ..ReactorConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut conn = TcpConn::connect(server.local_addr()).expect("connect");
+    const CLOSES: u64 = 2000;
+    for s in 0..CLOSES {
+        let reply = conn
+            .call(&Frame::Close { session: s })
+            .expect("close must be answered");
+        assert_eq!(reply, Reply::Accepted { session: s });
+    }
+    assert_eq!(
+        gw.resident_sessions(),
+        0,
+        "closes on unopened ids opened sessions"
+    );
+
+    // The cap is untouched: 8 fresh sessions open, the 9th bounces.
+    for s in CLOSES..CLOSES + 9 {
+        let reply = conn
+            .call(&Frame::Event {
+                session: s,
+                event: 0,
+            })
+            .expect("event must be answered");
+        let refused = reply
+            == Reply::Rejected {
+                session: s,
+                reason: RejectReason::ResourceLimit,
+            };
+        assert_eq!(refused, s == CLOSES + 8, "session {s}: {reply:?}");
+    }
+    assert_eq!(gw.resident_sessions(), 8);
+    for s in CLOSES..CLOSES + 8 {
+        let reply = conn.call(&Frame::Close { session: s }).unwrap();
+        assert_eq!(reply, Reply::Accepted { session: s });
+    }
+    // Tombstones keep their `closed` replies.
+    let reply = conn.call(&Frame::Close { session: CLOSES }).unwrap();
+    assert_eq!(
+        reply,
+        Reply::Rejected {
+            session: CLOSES,
+            reason: RejectReason::Closed,
+        }
+    );
+    server.stop();
+
+    let snap = gw.stats();
+    common::assert_stats_conserved("unopened closes", &snap);
+    assert_eq!(snap.sessions_opened, 8);
+    assert_eq!(snap.sessions_closed, 8);
+    assert_eq!(snap.control_frames, CLOSES + 8);
 }
 
 /// A client that writes frames and never reads replies must be dropped

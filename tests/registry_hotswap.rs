@@ -32,6 +32,25 @@ fn derived_system() -> (Vec<Spec>, Spec) {
     (vec![system.b, q.converter], service)
 }
 
+/// An artifact written by an earlier build — `protoquot solve --builtin
+/// colocated --emit compiled`, before the encoder wrote specs straight
+/// from `Spec` instead of through `SpecDoc` — still decodes,
+/// instantiates to the same system and admits.
+#[test]
+fn artifact_of_an_earlier_build_still_admits() {
+    let bytes = include_bytes!("data/colocated.pqca");
+    let art = artifact::CompiledArtifact::decode(bytes).expect("decodes");
+    let (parts, service, _) = art.instantiate().expect("instantiates");
+    let (expected, expected_service) = derived_system();
+    assert_eq!(parts, expected);
+    assert_eq!(service, expected_service);
+    let dir = tempdir("earlier-build");
+    let mut reg = ConverterRegistry::open(&dir, &expected_service, 1).expect("registry opens");
+    let admitted = reg.admit(bytes).expect("admits");
+    assert_eq!(admitted.content_hash, art.content_hash);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn tempdir(tag: &str) -> PathBuf {
     let mut dir = std::env::temp_dir();
     dir.push(format!("protoquot-hotswap-{tag}-{}", std::process::id()));
